@@ -43,7 +43,7 @@ class LedgerEntry:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str) or not self.label:
             raise ValueError(f"label must be a non-empty string, got {self.label!r}")
-        if any(ch in self.label for ch in "\t\n\r"):
+        if _breaks_line(self.label):
             raise ValueError(f"label must not contain tabs or newlines, got {self.label!r}")
         eps = float(self.epsilon)
         if not math.isfinite(eps) or eps <= 0.0:
@@ -52,8 +52,13 @@ class LedgerEntry:
         if self.group is not None:
             if not isinstance(self.group, str) or not self.group:
                 raise ValueError(f"group must be None or a non-empty string, got {self.group!r}")
-            if any(ch in self.group for ch in "\t\n\r"):
+            if _breaks_line(self.group):
                 raise ValueError(f"group must not contain tabs or newlines, got {self.group!r}")
+
+
+def _breaks_line(text: str) -> bool:
+    """True if ``text`` holds a tab or line break, which the ledger text format reserves."""
+    return "\t" in text or "\n" in text or "\r" in text
 
 
 def allocate_equal(epsilon: float, k: int) -> list[float]:
@@ -107,6 +112,11 @@ class BudgetLedger:
     with :class:`BudgetExceededError` carrying the remaining budget; the
     ledger is left unchanged. Re-spending within an existing parallel group
     is free up to the group's current maximum.
+
+    The ledger keeps its sequential spends and each parallel group's
+    maximum as it goes, so a spend is decided without recomposing every
+    entry. The total is the same ``fsum`` that :func:`compose` takes over
+    the same values, so it equals ``compose(entries())`` bit for bit.
     """
 
     def __init__(self, total: float):
@@ -115,26 +125,43 @@ class BudgetLedger:
             raise ValueError(f"total budget must be finite and positive, got {total}")
         self.total = total
         self._entries: list[LedgerEntry] = []
+        self._sequential: list[float] = []
+        self._group_max: dict[str, float] = {}
+        self._spent = 0.0
+
+    def _spent_with(self, entry: LedgerEntry) -> float:
+        """The composed total once ``entry`` is added."""
+        group_max = self._group_max
+        if entry.group is None:
+            return math.fsum(self._sequential + [entry.epsilon] + sorted(group_max.values()))
+        grown = {**group_max, entry.group: max(group_max.get(entry.group, 0.0), entry.epsilon)}
+        return math.fsum(self._sequential + sorted(grown.values()))
+
+    def _record(self, entry: LedgerEntry, spent: float) -> None:
+        self._entries.append(entry)
+        if entry.group is None:
+            self._sequential.append(entry.epsilon)
+        else:
+            self._group_max[entry.group] = max(self._group_max.get(entry.group, 0.0), entry.epsilon)
+        self._spent = spent
 
     def spend(self, label: str, epsilon: float, group: str | None = None) -> LedgerEntry:
         entry = LedgerEntry(label, epsilon, group)
-        would_spend = compose(self._entries + [entry])
+        would_spend = self._spent_with(entry)
         if would_spend > self.total:
             remaining = self.remaining()
             raise BudgetExceededError(
                 f"spend {entry.epsilon!r} for {label!r} refused: remaining budget is {remaining!r}",
                 remaining,
             )
-        self._entries.append(entry)
+        self._record(entry, would_spend)
         return entry
 
     def entries(self) -> tuple[LedgerEntry, ...]:
         return tuple(self._entries)
 
     def spent(self) -> float:
-        if not self._entries:
-            return 0.0
-        return compose(self._entries)
+        return self._spent
 
     def remaining(self) -> float:
         return max(0.0, self.total - self.spent())
@@ -166,7 +193,8 @@ class BudgetLedger:
                 group = kind[4:]
             else:
                 raise ValueError(f"unknown spend class {kind!r} in line {line!r}")
-            ledger._entries.append(LedgerEntry(label, float(eps), group))
+            entry = LedgerEntry(label, float(eps), group)
+            ledger._record(entry, ledger._spent_with(entry))
         if ledger.spent() > ledger.total:
             raise ValueError("ledger text spends more than its stated total")
         return ledger

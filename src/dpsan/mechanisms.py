@@ -56,8 +56,8 @@ class RandomStream:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in an unsigned 64-bit word, got {self.seed}")
-        ids = tuple(int(i) for i in self.ids)
-        if any(i < 0 for i in ids):
+        ids = tuple(map(int, self.ids))
+        if ids and min(ids) < 0:
             raise ValueError(f"stream ids must be nonnegative, got {ids}")
         object.__setattr__(self, "ids", ids)
 
@@ -117,6 +117,15 @@ def _check_support(s: float, c0: float, c1: float) -> None:
         raise ValueError(f"bounds must satisfy c0 < c1, got [{c0}, {c1}]")
     if not c0 <= s <= c1:
         raise ValueError(f"statistic {s} lies outside its bounds [{c0}, {c1}]")
+
+
+def _clamp(x: float, c0: float, c1: float) -> float:
+    """``float(np.clip(x, c0, c1))`` for one value, signed zeros and NaN alike."""
+    if x < c0:
+        x = c0
+    elif x > c1:
+        x = c1
+    return float(x)
 
 
 def laplace_sanitize(s: float, lam, rng, size=None):
@@ -208,6 +217,16 @@ def trunc_laplace_sample(s: float, lam, c0: float, c1: float, rng, size=None):
     lo = 0.5 * math.exp(min(c0 - s, 0.0) / lam) if c0 < s else 0.5
     hi = 1.0 - 0.5 * math.exp(min(s - c1, 0.0) / lam) if c1 > s else 0.5
     u = g.uniform(lo, hi, size=size)
+    if size is None:
+        # one draw: branch and clamp in Python floats, but keep np.log,
+        # whose results differ from math.log's on some inputs
+        if u < 0.5:
+            t = 2.0 * u
+            x = s + lam * (float(np.log(t)) if t > 0.0 else -math.inf)
+        else:
+            t = 2.0 * (1.0 - u)
+            x = s - lam * (float(np.log(t)) if t > 0.0 else -math.inf)
+        return _clamp(x, c0, c1)
     # log only hits zero at the interval's own endpoints; the clip repairs
     # the resulting infinities, so the warning is noise
     with np.errstate(divide="ignore"):
@@ -216,8 +235,7 @@ def trunc_laplace_sample(s: float, lam, c0: float, c1: float, rng, size=None):
             s + lam * np.log(2.0 * np.asarray(u)),
             s - lam * np.log(2.0 * (1.0 - np.asarray(u))),
         )
-    out = np.clip(x, c0, c1)
-    return float(out) if size is None else out
+    return np.clip(x, c0, c1)
 
 
 def bit_laplace_sample(s: float, lam, c0: float, c1: float, rng, size=None):
@@ -231,8 +249,9 @@ def bit_laplace_sample(s: float, lam, c0: float, c1: float, rng, size=None):
     lam = _as_scale(lam)
     _check_support(s, c0, c1)
     g = _as_generator(rng)
-    out = np.clip(s + g.laplace(0.0, lam, size=size), c0, c1)
-    return float(out) if size is None else out
+    if size is None:
+        return _clamp(s + g.laplace(0.0, lam), c0, c1)
+    return np.clip(s + g.laplace(0.0, lam, size=size), c0, c1)
 
 
 def bit_boundary_masses(s: float, lam, c0: float, c1: float) -> tuple[float, float]:

@@ -24,11 +24,16 @@ __all__ = [
 ]
 
 
-def _expm1_minus_x(u: float) -> float:
-    """expm1(u) - u without cancellation near zero."""
+def _scaled_expm1_minus_x(d: float, lam: float) -> float:
+    """lam * (expm1(u) - u) at u = d / lam, without cancellation near zero.
+
+    The series is scaled by ``d * u`` rather than ``lam * u * u``: when the
+    scale dwarfs ``d``, ``u * u`` turns subnormal and loses digits.
+    """
+    u = d / lam
     if abs(u) < 1e-2:
-        return u * u * (0.5 + u * (1.0 / 6.0 + u * (1.0 / 24.0 + u * (1.0 / 120.0 + u / 720.0))))
-    return math.expm1(u) - u
+        return d * u * (0.5 + u * (1.0 / 6.0 + u * (1.0 / 24.0 + u * (1.0 / 120.0 + u / 720.0))))
+    return lam * (math.expm1(u) - u)
 
 
 def _erlang_cdf2(t: float) -> float:
@@ -60,7 +65,7 @@ def _trunc_bias_core(d0: float, d1: float, lam: float) -> float:
     if e0 == 0.0:
         return 0.0  # both tails below the double floor; the shift is too
     u = (d0 - d1) / lam  # <= 0, so expm1 cannot overflow
-    num = -0.5 * e0 * (lam * _expm1_minus_x(u) + d1 * math.expm1(u))
+    num = -0.5 * e0 * (_scaled_expm1_minus_x(d0 - d1, lam) + d1 * math.expm1(u))
     return num / _normalizer(d0, d1, lam)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -211,6 +212,12 @@ def sanitize_proportions(counts, epsilon: float, mechanism: str, rng, ledger: Bu
     )
 
 
+@lru_cache(maxsize=32)
+def _two_sided_z(level: float) -> float:
+    """Normal quantile at ``0.5 + level / 2``, computed once per level."""
+    return standard_normal_quantile(0.5 + 0.5 * level)
+
+
 def wald_ci(p: float, n: int, level: float = 0.95) -> tuple[float, float]:
     """Normal-approximation interval for a proportion, clipped to [0, 1].
 
@@ -225,7 +232,7 @@ def wald_ci(p: float, n: int, level: float = 0.95) -> tuple[float, float]:
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie strictly between 0 and 1, got {level}")
     se = math.sqrt(p * (1.0 - p) / n)
-    half = standard_normal_quantile(0.5 + 0.5 * level) * se if se > 0.0 else 0.0
+    half = _two_sided_z(level) * se if se > 0.0 else 0.0
     return max(0.0, p - half), min(1.0, p + half)
 
 
@@ -258,7 +265,7 @@ def multiple_synthesis(counts, epsilon: float, m: int, mechanism: str, rng, leve
     within = (arr * (1.0 - arr) / n).mean(axis=0)
     between = arr.var(axis=0, ddof=1) if m > 1 else np.zeros(4)
     variance = within + (1.0 + 1.0 / m) * between
-    z = standard_normal_quantile(0.5 + 0.5 * level)
+    z = _two_sided_z(level)
     ci = tuple(
         (max(0.0, float(pb) - z * math.sqrt(float(v))), min(1.0, float(pb) + z * math.sqrt(float(v))))
         for pb, v in zip(pbar, variance)

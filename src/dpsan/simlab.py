@@ -154,9 +154,13 @@ class SimReport:
         return rep_path, sum_path
 
 
+# csv.writer writes None as "", a float through repr and an int through str,
+# which is the text the study CSVs use, so cells of these exact types go to
+# it as they are. Bools, subclasses and numpy scalars go through _format_cell.
+_CSV_NATIVE = frozenset({str, int, float, type(None)})
+
+
 def _format_cell(v) -> str:
-    if v is None:
-        return ""
     if isinstance(v, str):
         return v
     if isinstance(v, (bool, np.bool_)):
@@ -171,7 +175,7 @@ def _write_rows(path: Path, rows, columns) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_format_cell(row.get(c)) for c in columns])
+            writer.writerow([v if type(v) in _CSV_NATIVE else _format_cell(v) for v in map(row.get, columns)])
 
 
 def summarize(rows) -> list[dict]:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpsan as d
 
@@ -155,3 +157,43 @@ class TestBudgetLedger:
             d.BudgetLedger.from_lines(["not a header"])
         with pytest.raises(ValueError):
             d.BudgetLedger.from_lines(["total\t1.0", "label only"])
+
+
+# spends drawn from exact shares of the total as well as arbitrary floats,
+# so budgets are hit exactly as often as they are overdrawn
+_spend = st.tuples(
+    st.one_of(
+        st.sampled_from([1, 2, 3, 5, 7]).flatmap(lambda k: st.sampled_from(d.allocate_equal(1.0, k))),
+        st.floats(min_value=1e-3, max_value=1.5),
+    ),
+    st.sampled_from([None, None, "a", "b", "c"]),
+)
+
+
+class TestIncrementalLedger:
+    """The running ledger state agrees with composing every entry afresh."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(total=st.sampled_from([1.0, 0.5, 2.0, 0.1 + 0.2]), spends=st.lists(_spend, max_size=25))
+    def test_matches_compose(self, total, spends):
+        led = d.BudgetLedger(total)
+        for i, (eps, group) in enumerate(spends):
+            entry = d.LedgerEntry(f"s{i}", eps, group)
+            before_entries, before_spent = led.entries(), led.spent()
+            refuse = d.compose(before_entries + (entry,)) > total
+            try:
+                led.spend(entry.label, eps, group)
+            except d.BudgetExceededError:
+                assert refuse
+                assert led.entries() == before_entries
+                assert led.spent() == before_spent
+            else:
+                assert not refuse
+                assert led.entries() == before_entries + (entry,)
+            if led.entries():
+                assert led.spent() == d.compose(led.entries())
+            else:
+                assert led.spent() == 0.0
+            back = d.BudgetLedger.from_lines(led.to_lines())
+            assert back.spent() == led.spent()
+            assert back.entries() == led.entries()

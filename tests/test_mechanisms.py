@@ -144,6 +144,11 @@ class TestTruncSampler:
         g = d.RandomStream(27).generator()
         assert isinstance(d.trunc_laplace_sample(0.2, 0.5, 0.0, 1.0, g), float)
         assert d.trunc_laplace_sample(0.2, 0.5, 0.0, 1.0, g, size=(2, 3)).shape == (2, 3)
+        # integer statistic and bounds still give a float draw
+        for s in (0, 1):
+            for _ in range(20):
+                out = d.trunc_laplace_sample(s, 1e6, 0, 1, g)
+                assert type(out) is float and 0.0 <= out <= 1.0
 
     def test_rejects_invalid_parameters(self):
         g = d.RandomStream(28).generator()
@@ -176,6 +181,29 @@ class TestBitSampler:
     def test_scalar_form(self):
         out = d.bit_laplace_sample(0.2, 0.5, 0.0, 1.0, d.RandomStream(34))
         assert isinstance(out, float) and 0.0 <= out <= 1.0
+        # integer bounds: at a huge scale nearly every draw is clamped onto
+        # one, and must still be the float 0.0 or 1.0
+        g = d.RandomStream(35).generator()
+        outs = [d.bit_laplace_sample(0, 1e6, 0, 1, g) for _ in range(50)]
+        assert all(type(x) is float for x in outs)
+        assert {0.0, 1.0} <= set(outs)
+
+
+class TestScalarMatchesBatched:
+    """k one-at-a-time draws equal one size=k draw from the same stream, bit for bit."""
+
+    BOUNDS = (-1.5, 2.0)
+
+    @pytest.mark.parametrize("sampler", [d.trunc_laplace_sample, d.bit_laplace_sample])
+    @pytest.mark.parametrize("s", [-1.5, 0.3, 2.0])
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3, 1e8, 1e15])
+    def test_draw_for_draw(self, sampler, s, lam):
+        c0, c1 = self.BOUNDS
+        k = 400
+        g = d.RandomStream(36, (7,)).generator()
+        scalar = np.array([sampler(s, lam, c0, c1, g) for _ in range(k)])
+        batched = sampler(s, lam, c0, c1, d.RandomStream(36, (7,)).generator(), size=k)
+        assert scalar.tobytes() == batched.tobytes()
 
 
 class TestBoundaryMasses:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import optimize
@@ -11,6 +12,22 @@ from conftest import bit_moments_oracle, random_tuples, trunc_moments_oracle
 
 # one shared grid of random (s, lam, c0, c1) tuples for the quadrature sweeps
 GRID = random_tuples(2024, 200)
+
+# scales so large that the squared gap ratio (d0 - d1)^2 / lam^2 is subnormal
+HUGE_SCALE_POINTS = [
+    (0.0, 1e156, 0.0, 1.0), (0.2, 1e156, 0.0, 1.0), (1.0, 1e156, 0.0, 1.0),
+    (0.2, 1e157, 0.0, 1.0), (0.9, 1e160, 0.0, 1.0), (0.2, 1e161, 0.0, 1.0),
+]
+
+
+def mp_trunc_mean(s, lam, c0, c1):
+    """Mean of the truncated release by 50-digit quadrature of the raw kernel."""
+    with mpmath.workdps(50):
+        s, lam, c0, c1 = (mpmath.mpf(v) for v in (s, lam, c0, c1))
+        kernel = lambda x: mpmath.exp(-abs(x - s) / lam)
+        nodes = sorted({c0, s, c1})
+        mass = mpmath.quad(kernel, nodes)
+        return float(mpmath.quad(lambda x: x * kernel(x), nodes) / mass)
 
 
 class TestFrozenValues:
@@ -87,11 +104,18 @@ class TestBiasStructure:
         assert rep.bit_bias == pytest.approx(rep.bit_mean - 0.2, abs=1e-15)
         assert not rep.tails_underflowed
 
-    @pytest.mark.parametrize("s,lam,c0,c1", random_tuples(78, 60))
+    @pytest.mark.parametrize("s,lam,c0,c1", random_tuples(78, 60) + HUGE_SCALE_POINTS)
     def test_trunc_bias_dominates_and_shares_sign(self, s, lam, c0, c1):
         rep = d.bias_order_check(s, lam, c0, c1)
         assert abs(rep.trunc_bias) + 1e-12 >= abs(rep.bit_bias)
         assert rep.trunc_bias * rep.bit_bias >= -1e-24
+
+    @pytest.mark.parametrize("s,lam,c0,c1", HUGE_SCALE_POINTS)
+    def test_huge_scale_trunc_mean_matches_mpmath(self, s, lam, c0, c1):
+        want = mp_trunc_mean(s, lam, c0, c1)
+        assert d.trunc_mean(s, lam, c0, c1) == pytest.approx(want, rel=1e-15, abs=0.0)
+        rep = d.bias_order_check(s, lam, c0, c1)
+        assert rep.trunc_bias == pytest.approx(want - s, rel=1e-14, abs=0.0)
 
     def test_bias_ratio_root_matches_brentq(self):
         # the scale where |trunc bias| first exceeds twice |bit bias| exists
