@@ -5,6 +5,12 @@ log-density ratio between releases of two neighboring statistic values and
 compares it against the nominal budget ``delta1 / lambda``. Ratios are
 computed from the closed-form densities, not from samples, so a reported
 overshoot is a fact about the mechanism rather than Monte Carlo noise.
+
+The bounded mechanisms are audited over every pair of grid statistics at
+most ``delta1`` apart. Those pairs form a band around the diagonal of the
+sorted grid, so they are evaluated a block of rows at a time over a window
+of the band's width W: work is O(N * W) and memory O(block * W) for N grid
+statistics, instead of the O(N^2) of a full pairwise matrix.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .mechanisms import _as_scale
 
@@ -20,6 +27,8 @@ __all__ = ["AuditResult", "audit_mechanism"]
 
 _KINDS = ("laplace", "trunc", "bit")
 _DEFAULT_TOL = 1e-9
+# Pairs evaluated per block: the block's buffers stay a few hundred KB.
+_BLOCK_PAIRS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -47,22 +56,103 @@ class AuditResult:
             raise ValueError("pass flag inconsistent with realized vs nominal comparison")
 
 
-def _neighbor_pairs(c0: float, c1: float, delta1: float, grid: int):
-    """Statistic pairs (s, s') in [c0, c1]^2 with |s - s'| <= delta1.
+def _statistic_grid(c0: float, c1: float, delta1: float, grid: int) -> np.ndarray:
+    """Sorted, unique statistic values the audit pairs up.
 
-    Returns index pairs into a shared grid of s values. The grid includes,
-    for every grid point, its exact +/- delta1 neighbors clipped into the
-    interval, so the maximal allowed separation is represented exactly
-    rather than rounded to the grid pitch.
+    The grid includes, for every grid point, its exact +/- delta1 neighbors
+    clipped into the interval, so the maximal allowed separation is
+    represented exactly rather than rounded to the grid pitch.
     """
     base = np.linspace(c0, c1, grid)
     shifted = np.clip(np.concatenate([base - delta1, base + delta1]), c0, c1)
-    svals = np.unique(np.concatenate([base, shifted]))
-    diff = np.abs(svals[:, None] - svals[None, :])
-    # the ratio is symmetric under swapping the pair, so keep s <= s'
-    upper = np.triu(np.ones((svals.size, svals.size), dtype=bool))
-    i, j = np.nonzero((diff <= delta1 * (1.0 + 1e-15)) & upper)
-    return svals, i, j
+    return np.unique(np.concatenate([base, shifted]))
+
+
+def _band_width(svals: np.ndarray, thr: float) -> int:
+    """Number of partners ``j >= i`` to evaluate for every row ``i``.
+
+    ``svals`` is sorted, so ``s_j - s_i`` rises along a row and the
+    admitted partners (``s_j - s_i <= thr``) form one run starting at
+    ``j = i``. The width is the longest run plus a guard, checked so that
+    the window's last column admits no partner in any row: no admitted
+    pair can fall outside the window.
+    """
+    rows = np.arange(svals.size)
+    with np.errstate(over="ignore"):  # an overflowed estimate only widens the window
+        ends = np.searchsorted(svals, svals + thr, side="right")
+    width = int(np.max(ends - rows)) + 2
+    while True:
+        padded = np.concatenate([svals, np.full(width, np.inf)])
+        if not np.any(padded[rows + width - 1] - svals <= thr):
+            return width
+        width *= 2
+
+
+def _worst_pair(kind: str, svals: np.ndarray, lam: float, delta1: float, c0: float, c1: float):
+    """Worst neighboring pair of a bounded mechanism, one block of rows at a time.
+
+    The admitted pairs are those with ``s <= s'`` (the ratio is symmetric
+    under swapping the pair) and ``|s - s'| <= delta1`` up to a 1e-15
+    relative slack. Row ``i`` is evaluated over a window of
+    the next ``W`` statistic values (see :func:`_band_width`), a block of
+    rows at a time in buffers allocated once per call, so memory is
+    O(block * W) rather than O(N^2) for N statistic values. The result is
+    the first maximum in row-major pair order, the same pair ``np.argmax``
+    picks over the full pair list, with the same arithmetic per pair.
+
+    Returns ``(realized, (s, s'), worst_output)``.
+    """
+    thr = delta1 * (1.0 + 1e-15)
+    n = svals.size
+    width = _band_width(svals, thr)
+    rows = min(n, max(1, _BLOCK_PAIRS // width))
+    # row i's partners s_j (and log Z_j) for j = i .. i + width - 1; the
+    # padding lies past the threshold, so it is never admitted
+    s_win = sliding_window_view(np.concatenate([svals, np.full(width - 1, np.inf)]), width)
+    sep = np.empty((rows, width))
+    outside = np.empty((rows, width), dtype=bool)
+    if kind == "trunc":
+        # the normalizer depends on s, so the worst output is the interval
+        # end where the separation term and the log-Z ratio align
+        logz = np.log(-0.5 * (np.expm1(-(svals - c0) / lam) + np.expm1(-(c1 - svals) / lam)))
+        z_win = sliding_window_view(np.concatenate([logz, np.zeros(width - 1)]), width)
+        dz, at_c0, at_c1, worst = (np.empty((rows, width)) for _ in range(4))
+    best = None
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        b = r1 - r0
+        sep_b, out_b = sep[:b], outside[:b]
+        # s_j >= s_i, so s_j - s_i equals |s_i - s_j| bit for bit
+        np.subtract(s_win[r0:r1], svals[r0:r1, None], out=sep_b)
+        np.greater(sep_b, thr, out=out_b)
+        # pairs are admitted up to the slack, so clamp the roundoff
+        # inflation back to the true separation cap
+        np.minimum(sep_b, delta1, out=sep_b)
+        np.divide(sep_b, lam, out=sep_b)
+        if kind == "bit":
+            # interior ratio and both boundary-mass ratios all peak at
+            # exp(|s - s'| / lam); the widest pair decides
+            cand = sep_b
+        else:
+            dz_b, c0_b, c1_b, cand = dz[:b], at_c0[:b], at_c1[:b], worst[:b]
+            np.subtract(z_win[r0:r1], logz[r0:r1, None], out=dz_b)
+            np.abs(np.add(sep_b, dz_b, out=c0_b), out=c0_b)
+            np.abs(np.subtract(dz_b, sep_b, out=c1_b), out=c1_b)  # -sep + dz
+            np.maximum(c0_b, c1_b, out=cand)
+        np.copyto(cand, -np.inf, where=out_b)
+        row, col = divmod(int(np.argmax(cand)), width)
+        value = float(cand[row, col])
+        # a later block wins only when strictly greater. A NaN loss (log Z
+        # underflowed to -inf) first occurs at the pair (c0, c0), so it is
+        # kept, as np.argmax keeps the first NaN.
+        if best is None or value > best[0]:
+            i = r0 + row
+            if kind == "bit":
+                output = c0  # the ratio saturates at any output below both statistics
+            else:
+                output = c0 if at_c0[row, col] >= at_c1[row, col] else c1
+            best = (value, (float(svals[i]), float(svals[i + col])), output)
+    return best
 
 
 def audit_mechanism(kind: str, lam, c0: float, c1: float, delta1: float, grid: int = 400) -> AuditResult:
@@ -92,6 +182,8 @@ def audit_mechanism(kind: str, lam, c0: float, c1: float, delta1: float, grid: i
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     lam = _as_scale(lam)
     c0, c1, delta1 = float(c0), float(c1), float(delta1)
+    if not (math.isfinite(c0) and math.isfinite(c1)):
+        raise ValueError(f"bounds must be finite, got [{c0}, {c1}]")
     if not c0 < c1:
         raise ValueError(f"bounds must satisfy c0 < c1, got [{c0}, {c1}]")
     if not math.isfinite(delta1) or delta1 <= 0.0:
@@ -107,29 +199,7 @@ def audit_mechanism(kind: str, lam, c0: float, c1: float, delta1: float, grid: i
         pair = (c0, c0 + delta1)
         output = c0
     else:
-        svals, i, j = _neighbor_pairs(c0, c1, delta1, grid)
-        # pairs are admitted up to a 1e-15 relative slack, so clamp the
-        # roundoff inflation back to the true separation cap
-        sep = np.minimum(np.abs(svals[i] - svals[j]), delta1) / lam
-        if kind == "bit":
-            # interior ratio and both boundary-mass ratios all peak at
-            # exp(|s - s'| / lam); the widest pair decides
-            k = int(np.argmax(sep))
-            realized = float(sep[k])
-            pair = (float(svals[i][k]), float(svals[j][k]))
-            output = c0  # the ratio saturates at any output below both statistics
-        else:
-            # trunc: the normalizer depends on s, so the worst output is the
-            # interval end where the separation term and the log-Z ratio align
-            logz = np.log(-0.5 * (np.expm1(-(svals - c0) / lam) + np.expm1(-(c1 - svals) / lam)))
-            dz = logz[j] - logz[i]
-            at_c0 = np.abs(sep + dz)
-            at_c1 = np.abs(-sep + dz)
-            worst = np.maximum(at_c0, at_c1)
-            k = int(np.argmax(worst))
-            realized = float(worst[k])
-            pair = (float(svals[i][k]), float(svals[j][k]))
-            output = c0 if at_c0[k] >= at_c1[k] else c1
+        realized, pair, output = _worst_pair(kind, _statistic_grid(c0, c1, delta1, grid), lam, delta1, c0, c1)
     return AuditResult(
         kind=kind,
         nominal=nominal,

@@ -139,16 +139,15 @@ def sanitize_covariance(S: CovMatrix2, n: int, bounds, epsilon: float, mechanism
         epsilon: total privacy budget for the release.
         mechanism: ``trunc`` or ``bit``.
         rng: :class:`RandomStream` or numpy Generator.
-        ledger: optional external ledger; by default a fresh one scoped to
-            ``epsilon`` is used. The three spends total ``epsilon`` exactly.
+        ledger: optional ledger that records the three spends, which
+            total ``epsilon`` exactly, and refuses them if it cannot cover
+            them. Without one nothing is recorded.
     """
     if not isinstance(S, CovMatrix2):
         raise ValueError(f"S must be a CovMatrix2, got {type(S).__name__}")
     b1, b2 = bounds
     sample = _sampler(mechanism)
     g = _as_generator(rng)
-    if ledger is None:
-        ledger = BudgetLedger(epsilon)
     shares = allocate_equal(epsilon, 3)
 
     sanitized_diag = []
@@ -156,12 +155,14 @@ def sanitize_covariance(S: CovMatrix2, n: int, bounds, epsilon: float, mechanism
         lo, hi = variance_output_bounds(n, b)
         if not lo <= value <= hi:
             raise ValueError(f"{label}={value} is not attainable for n={n} within {b}")
-        ledger.spend(label, share)
+        if ledger is not None:
+            ledger.spend(label, share)
         lam = gs_catalog("variance", n, b) / share
         sanitized_diag.append(sample(value, lam, lo, hi, g))
     s11s, s22s = sanitized_diag
 
-    ledger.spend("S12", shares[2])
+    if ledger is not None:
+        ledger.spend("S12", shares[2])
     lo12, hi12 = covariance_output_bounds(s11s, s22s)
     if hi12 <= lo12:
         s12s = 0.0  # a sanitized variance collapsed to zero
@@ -183,6 +184,9 @@ def sanitize_proportions(counts, epsilon: float, mechanism: str, rng, ledger: Bu
     renormalized to sum to one. If every draw comes back zero the release
     is resampled once; a second all-zero outcome raises
     :class:`RenormalizationDegenerateError`.
+
+    ``ledger``, if given, records the four spends and refuses them when it
+    cannot cover ``epsilon``; without one nothing is recorded.
     """
     counts = [int(c) for c in counts]
     if len(counts) != 4:
@@ -192,14 +196,13 @@ def sanitize_proportions(counts, epsilon: float, mechanism: str, rng, ledger: Bu
     n = sum(counts)
     if n < 1:
         raise ValueError("counts must sum to at least 1")
-    if not epsilon > 0.0:
-        raise ValueError(f"privacy budget must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"privacy budget must be finite and positive, got {epsilon}")
     sample = _sampler(mechanism)
     g = _as_generator(rng)
-    if ledger is None:
-        ledger = BudgetLedger(epsilon)
-    for k in range(4):
-        ledger.spend(f"p{k + 1}", epsilon, group="categories")
+    if ledger is not None:
+        for k in range(4):
+            ledger.spend(f"p{k + 1}", epsilon, group="categories")
     lam = (1.0 / n) / epsilon
     phat = [c / n for c in counts]
     for _attempt in range(2):
@@ -246,18 +249,20 @@ def multiple_synthesis(counts, epsilon: float, m: int, mechanism: str, rng, leve
     between-release sample variance. The interval uses a normal reference;
     with ``m = 1``, B vanishes and the bundle reduces to a single release
     with its Wald interval.
+
+    ``ledger``, if given, records one spend per release and refuses them
+    when it cannot cover ``epsilon``; without one nothing is recorded.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError(f"release count must be a positive integer, got {m!r}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie strictly between 0 and 1, got {level}")
     g = _as_generator(rng)
-    if ledger is None:
-        ledger = BudgetLedger(epsilon)
     shares = allocate_equal(epsilon, m)
     releases = []
     for i, share in enumerate(shares):
-        ledger.spend(f"set{i + 1}", share)
+        if ledger is not None:
+            ledger.spend(f"set{i + 1}", share)
         releases.append(sanitize_proportions(counts, share, mechanism, g))
     n = sum(int(c) for c in counts)
     arr = np.array([r.p for r in releases])

@@ -77,6 +77,11 @@ class TestAuditCommand:
             main(["audit", "--mech", "gauss", "--lambda", "0.5",
                   "--c0", "0", "--c1", "1", "--delta1", "0.3"])
 
+    @pytest.mark.parametrize("mech", ["trunc", "bit"])
+    def test_rejects_infinite_bound(self, capsys, mech):
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            main(["audit", "--mech", mech, "--lambda", "1", "--c0", "0", "--c1", "inf", "--delta1", "0.3"])
+
 
 class TestSimCommand:
     ARGS = ("sim", "prop", "--n", "10", "--eps", "1.0", "--mech", "trunc", "--reps", "3")

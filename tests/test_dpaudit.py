@@ -1,12 +1,17 @@
 """Analytic privacy-loss auditor."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpsan as d
 from conftest import random_tuples
+from dpsan import dpaudit
 
 
 def log_ratio_oracle(kind, s, sp, x, lam, c0, c1):
@@ -22,6 +27,41 @@ def log_ratio_oracle(kind, s, sp, x, lam, c0, c1):
         pick = 0 if x == c0 else 1
         return abs(math.log(m_s[pick]) - math.log(m_sp[pick]))
     return abs(-abs(x - s) / lam - (-abs(x - sp) / lam))
+
+
+def dense_pairs(c0, c1, delta1, grid):
+    """Statistic grid and every admitted pair (i, j), i <= j, in row-major
+    order, taken from the full N x N distance matrix."""
+    base = np.linspace(c0, c1, grid)
+    shifted = np.clip(np.concatenate([base - delta1, base + delta1]), c0, c1)
+    svals = np.unique(np.concatenate([base, shifted]))
+    diff = np.abs(svals[:, None] - svals[None, :])
+    upper = np.triu(np.ones((svals.size, svals.size), dtype=bool))
+    i, j = np.nonzero((diff <= delta1 * (1.0 + 1e-15)) & upper)
+    return svals, i, j
+
+
+def dense_worst(kind, lam, c0, c1, delta1, pairs):
+    """(realized, worst_pair, worst_output) over the dense pair list: the
+    audit's arithmetic per pair, maximized with np.argmax."""
+    svals, i, j = pairs
+    sep = np.minimum(np.abs(svals[i] - svals[j]), delta1) / lam
+    if kind == "bit":
+        k = int(np.argmax(sep))
+        return float(sep[k]), (float(svals[i[k]]), float(svals[j[k]])), c0
+    logz = np.log(-0.5 * (np.expm1(-(svals - c0) / lam) + np.expm1(-(c1 - svals) / lam)))
+    dz = logz[j] - logz[i]
+    at_c0 = np.abs(sep + dz)
+    at_c1 = np.abs(-sep + dz)
+    worst = np.maximum(at_c0, at_c1)
+    k = int(np.argmax(worst))
+    output = c0 if at_c0[k] >= at_c1[k] else c1
+    return float(worst[k]), (float(svals[i[k]]), float(svals[j[k]])), output
+
+
+def audited(kind, lam, c0, c1, delta1, grid):
+    res = d.audit_mechanism(kind, lam, c0, c1, delta1, grid)
+    return res.realized, res.worst_pair, res.worst_output
 
 
 class TestAuditResult:
@@ -137,3 +177,81 @@ class TestValidation:
             d.audit_mechanism("trunc", 0.5, 0.0, 1.0, 0.3, grid=50)
         with pytest.raises(ValueError):
             d.audit_mechanism("trunc", 0.5, 0.0, 1.0, 0.3, grid=200.0)
+
+
+    @pytest.mark.parametrize("bounds", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)])
+    @pytest.mark.parametrize("kind", ["laplace", "trunc", "bit"])
+    def test_rejects_non_finite_bounds(self, kind, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            d.audit_mechanism(kind, 1.0, *bounds, 0.3, grid=100)
+
+
+SWEEP_KINDS = ("trunc", "bit")
+SWEEP_LAMBDAS = (1e-3, 0.01, 0.1, 0.3, 1.0, 10.0, 100.0, 1e4)
+SWEEP_INTERVALS = ((0.0, 1.0), (-3.0, 2.5), (1e-9, 1e-9 + 1e-6), (-1e3, 1e4), (0.1, 0.1000001))
+# sensitivity as a fraction of the interval width, past the width included
+SWEEP_DELTA_FRACS = (1e-7, 0.05, 0.3, 1.0, 2.0)
+
+
+class TestMatchesDenseReference:
+    """The banded, blocked audit returns the dense audit's bits."""
+
+    @pytest.mark.parametrize("grid", [100, 137, 400])
+    @pytest.mark.parametrize("frac", SWEEP_DELTA_FRACS)
+    @pytest.mark.parametrize("c0,c1", SWEEP_INTERVALS)
+    def test_sweep(self, c0, c1, frac, grid):
+        delta1 = frac * (c1 - c0)
+        pairs = dense_pairs(c0, c1, delta1, grid)
+        for kind, lam in itertools.product(SWEEP_KINDS, SWEEP_LAMBDAS):
+            assert audited(kind, lam, c0, c1, delta1, grid) == dense_worst(kind, lam, c0, c1, delta1, pairs)
+
+    def test_grid_1600(self):
+        # two of the benchmark's audit points
+        pairs = dense_pairs(0.0, 1.0, 0.3, 1600)
+        for kind, lam in (("trunc", 0.1), ("bit", 10.0)):
+            assert audited(kind, lam, 0.0, 1.0, 0.3, 1600) == dense_worst(kind, lam, 0.0, 1.0, 0.3, pairs)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        c0=st.floats(min_value=-1e3, max_value=1e3),
+        width_exp=st.floats(min_value=-6.0, max_value=3.0),
+        frac_exp=st.floats(min_value=-7.0, max_value=math.log10(2.0)),
+        lam_exp=st.floats(min_value=-3.0, max_value=4.0),
+        grid=st.integers(min_value=100, max_value=160),
+        kind=st.sampled_from(SWEEP_KINDS),
+    )
+    def test_random_configs(self, c0, width_exp, frac_exp, lam_exp, grid, kind):
+        c1 = c0 + 10.0 ** width_exp
+        delta1 = 10.0 ** frac_exp * (c1 - c0)
+        lam = 10.0 ** lam_exp
+        pairs = dense_pairs(c0, c1, delta1, grid)
+        assert audited(kind, lam, c0, c1, delta1, grid) == dense_worst(kind, lam, c0, c1, delta1, pairs)
+
+    def test_underflowed_normalizer_gives_the_same_nan(self):
+        # width / lam underflows, so log Z is -inf at both interval ends
+        with np.errstate(all="ignore"):
+            pairs = dense_pairs(0.0, 1e-300, 3e-301, 100)
+            got = audited("trunc", 1e30, 0.0, 1e-300, 3e-301, 100)
+            want = dense_worst("trunc", 1e30, 0.0, 1e-300, 3e-301, pairs)
+        assert math.isnan(got[0]) and math.isnan(want[0])
+        assert got[1:] == want[1:]
+
+    def test_underestimated_band_is_widened(self, monkeypatch):
+        # a band estimate of zero partners per row must be caught by the
+        # coverage check and widened until no admitted pair is left out
+        monkeypatch.setattr(dpaudit.np, "searchsorted", lambda a, v, side: np.zeros(len(v), dtype=np.intp))
+        pairs = dense_pairs(0.0, 1.0, 0.3, 137)
+        for kind in SWEEP_KINDS:
+            assert audited(kind, 0.3, 0.0, 1.0, 0.3, 137) == dense_worst(kind, 0.3, 0.0, 1.0, 0.3, pairs)
+
+
+class TestAuditMemory:
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_grid_1600_peak_stays_small(self, kind):
+        tracemalloc.start()
+        try:
+            d.audit_mechanism(kind, 1.0, 0.0, 1.0, 0.3, grid=1600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

@@ -267,3 +267,23 @@ class TestMultipleSynthesis:
             d.multiple_synthesis(self.COUNTS, 1.0, 2.5, "trunc", d.RandomStream(27))
         with pytest.raises(ValueError):
             d.multiple_synthesis(self.COUNTS, 1.0, 2, "trunc", d.RandomStream(27), level=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0])
+class TestBudgetCheckedWithoutLedger:
+    """Without a ledger, a budget no ledger could hold is still refused."""
+
+    COUNTS = (10, 20, 30, 40)
+
+    def test_covariance(self, epsilon):
+        S = d.CovMatrix2(1.0, 2.0, 0.5)
+        with pytest.raises(ValueError):
+            d.sanitize_covariance(S, 50, (B3, B45), epsilon, "trunc", d.RandomStream(31))
+
+    def test_proportions(self, epsilon):
+        with pytest.raises(ValueError):
+            d.sanitize_proportions(self.COUNTS, epsilon, "trunc", d.RandomStream(32))
+
+    def test_multiple_synthesis(self, epsilon):
+        with pytest.raises(ValueError):
+            d.multiple_synthesis(self.COUNTS, epsilon, 3, "trunc", d.RandomStream(33))
