@@ -15,13 +15,9 @@ from .accountant import (
 )
 from .dpaudit import AuditResult, audit_mechanism
 from .mechanisms import (
-    LaplaceScale,
     RandomStream,
     bit_boundary_masses,
     bit_laplace_sample,
-    exponential_mechanism_discrete,
-    gaussian_sigma_lower_bound,
-    laplace_sanitize,
     standard_normal_quantile,
     trunc_laplace_cdf,
     trunc_laplace_pdf,
@@ -72,7 +68,6 @@ __all__ = [
     "BudgetLedger",
     "COV_SPECS",
     "CovMatrix2",
-    "LaplaceScale",
     "LedgerEntry",
     "MomentReport",
     "PROP_TRUTH",
@@ -91,10 +86,7 @@ __all__ = [
     "bit_second_moment",
     "compose",
     "covariance_output_bounds",
-    "exponential_mechanism_discrete",
-    "gaussian_sigma_lower_bound",
     "gs_catalog",
-    "laplace_sanitize",
     "multiple_synthesis",
     "run_cov_study",
     "run_prop_ms_study",

@@ -150,12 +150,19 @@ def _cmd_audit(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "sim":
-        return _cmd_sim(args)
-    if args.command == "moments":
-        return _cmd_moments(args)
-    return _cmd_audit(args)
+    """Run one subcommand; returns its exit status.
+
+    A ``ValueError`` from the library (an invalid setting, bound or scale)
+    is reported as argparse reports a bad flag: the usage line and one
+    error line on stderr, then exit status 2.
+    """
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    command = {"sim": _cmd_sim, "moments": _cmd_moments, "audit": _cmd_audit}[args.command]
+    try:
+        return command(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

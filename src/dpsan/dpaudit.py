@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .mechanisms import _as_scale
+from .mechanisms import _as_scale, _check_bounds, _normalizer
 
 __all__ = ["AuditResult", "audit_mechanism"]
 
@@ -114,7 +114,7 @@ def _worst_pair(kind: str, svals: np.ndarray, lam: float, delta1: float, c0: flo
     if kind == "trunc":
         # the normalizer depends on s, so the worst output is the interval
         # end where the separation term and the log-Z ratio align
-        logz = np.log(-0.5 * (np.expm1(-(svals - c0) / lam) + np.expm1(-(c1 - svals) / lam)))
+        logz = np.log(_normalizer(svals - c0, c1 - svals, lam))
         z_win = sliding_window_view(np.concatenate([logz, np.zeros(width - 1)]), width)
         dz, at_c0, at_c1, worst = (np.empty((rows, width)) for _ in range(4))
     best = None
@@ -184,8 +184,7 @@ def audit_mechanism(kind: str, lam, c0: float, c1: float, delta1: float, grid: i
     c0, c1, delta1 = float(c0), float(c1), float(delta1)
     if not (math.isfinite(c0) and math.isfinite(c1)):
         raise ValueError(f"bounds must be finite, got [{c0}, {c1}]")
-    if not c0 < c1:
-        raise ValueError(f"bounds must satisfy c0 < c1, got [{c0}, {c1}]")
+    _check_bounds(c0, c1)
     if not math.isfinite(delta1) or delta1 <= 0.0:
         raise ValueError(f"sensitivity must be finite and positive, got {delta1}")
     if not isinstance(grid, int) or isinstance(grid, bool) or grid < 100:

@@ -1,8 +1,8 @@
 """Seeded noise mechanisms for releasing bounded statistics.
 
-Plain, truncated, and boundary-inflated truncated (BIT) Laplace samplers
-with their densities, a discrete exponential mechanism, and the analytic
-noise bound for the Gaussian mechanism. All randomness flows through
+Truncated and boundary-inflated truncated (BIT) Laplace samplers with the
+truncated density, its normalizer and the BIT boundary masses, plus the
+standard normal quantile the Wald intervals use. All randomness flows through
 :class:`RandomStream` (or a ``numpy`` Generator derived from one), so every
 draw sequence is reproducible and independent streams can be consumed in
 any order without affecting each other.
@@ -17,15 +17,11 @@ import numpy as np
 
 __all__ = [
     "RandomStream",
-    "LaplaceScale",
-    "laplace_sanitize",
     "trunc_laplace_pdf",
     "trunc_laplace_cdf",
     "trunc_laplace_sample",
     "bit_laplace_sample",
     "bit_boundary_masses",
-    "exponential_mechanism_discrete",
-    "gaussian_sigma_lower_bound",
     "standard_normal_quantile",
 ]
 
@@ -70,36 +66,13 @@ class RandomStream:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.ids))
 
 
-@dataclass(frozen=True)
-class LaplaceScale:
-    """Laplace noise scale: sensitivity divided by the privacy budget."""
-
-    lam: float
-
-    def __post_init__(self) -> None:
-        lam = float(self.lam)
-        if not math.isfinite(lam) or lam <= 0.0:
-            raise ValueError(f"noise scale must be finite and positive, got {self.lam!r}")
-        object.__setattr__(self, "lam", lam)
-
-    @classmethod
-    def from_budget(cls, sensitivity: float, epsilon: float) -> "LaplaceScale":
-        if not sensitivity > 0.0:
-            raise ValueError(f"sensitivity must be positive, got {sensitivity}")
-        if not epsilon > 0.0:
-            raise ValueError(f"privacy budget must be positive, got {epsilon}")
-        return cls(sensitivity / epsilon)
-
-    def __float__(self) -> float:
-        return self.lam
-
-
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, RandomStream):
         return rng.generator()
     if isinstance(rng, np.random.Generator):
         return rng
-    # duck-typed stand-ins are accepted when they quack like a Generator
+    # duck-typed stand-ins are accepted when they quack like a Generator;
+    # tests use one to script the draws a pipeline sees
     if hasattr(rng, "laplace") and hasattr(rng, "uniform"):
         return rng
     raise TypeError(f"rng must be a RandomStream or numpy Generator, got {type(rng).__name__}")
@@ -112,9 +85,13 @@ def _as_scale(lam) -> float:
     return lam
 
 
-def _check_support(s: float, c0: float, c1: float) -> None:
+def _check_bounds(c0: float, c1: float) -> None:
     if not c0 < c1:
         raise ValueError(f"bounds must satisfy c0 < c1, got [{c0}, {c1}]")
+
+
+def _check_support(s: float, c0: float, c1: float) -> None:
+    _check_bounds(c0, c1)
     if not c0 <= s <= c1:
         raise ValueError(f"statistic {s} lies outside its bounds [{c0}, {c1}]")
 
@@ -128,22 +105,15 @@ def _clamp(x: float, c0: float, c1: float) -> float:
     return float(x)
 
 
-def laplace_sanitize(s: float, lam, rng, size=None):
-    """Plain Laplace release: ``s`` plus Laplace(0, lam) noise.
+def _normalizer(d0, d1, lam: float):
+    """Mass Z the Laplace kernel puts on ``[s - d0, s + d1]``.
 
-    Args:
-        s: the confidential statistic.
-        lam: noise scale (float or :class:`LaplaceScale`).
-        rng: :class:`RandomStream` or numpy Generator.
-        size: ``None`` for a single float, else an array shape.
+    ``Z = 1 - (e^{-d0/lam} + e^{-d1/lam}) / 2`` written with expm1, so it
+    stays exact when lam dwarfs the gap widths and Z is tiny. ``d0`` and
+    ``d1`` may be floats or arrays. The density, the CDF, the moments and
+    the privacy audit all renormalize by this one expression.
     """
-    s = float(s)
-    if not math.isfinite(s):
-        raise ValueError(f"statistic must be finite, got {s}")
-    lam = _as_scale(lam)
-    g = _as_generator(rng)
-    out = s + g.laplace(0.0, lam, size=size)
-    return float(out) if size is None else out
+    return -0.5 * (np.expm1(-d0 / lam) + np.expm1(-d1 / lam))
 
 
 def _laplace_cdf_gap(x, s: float, lam: float, c0: float):
@@ -163,10 +133,6 @@ def _laplace_cdf_gap(x, s: float, lam: float, c0: float):
     return np.where(z < 0.0, below, above)
 
 
-def _trunc_normalizer(s: float, lam: float, c0: float, c1: float) -> float:
-    return float(_laplace_cdf_gap(c1, s, lam, c0))
-
-
 def trunc_laplace_pdf(x, s: float, lam, c0: float, c1: float):
     """Density of the truncated Laplace release at ``x``.
 
@@ -175,7 +141,8 @@ def trunc_laplace_pdf(x, s: float, lam, c0: float, c1: float):
 
         f(x) = exp(-|x - s| / lam) / (2 lam Z),  Z = F(c1) - F(c0),
 
-    with F the untruncated Laplace CDF. Accepts scalar or array ``x``.
+    with F the untruncated Laplace CDF (see :func:`_normalizer`). Accepts
+    scalar or array ``x``.
 
     Raises:
         ValueError: if any ``x`` falls outside ``[c0, c1]``, if the bounds
@@ -187,7 +154,7 @@ def trunc_laplace_pdf(x, s: float, lam, c0: float, c1: float):
     xv = np.asarray(x, dtype=float)
     if np.any(xv < c0) or np.any(xv > c1):
         raise ValueError(f"density requested outside the support [{c0}, {c1}]")
-    z = _trunc_normalizer(s, lam, c0, c1)
+    z = _normalizer(s - c0, c1 - s, lam)
     out = np.exp(-np.abs(xv - s) / lam) / (2.0 * lam * z)
     return float(out) if xv.ndim == 0 else out
 
@@ -197,7 +164,7 @@ def trunc_laplace_cdf(x, s: float, lam, c0: float, c1: float):
     lam = _as_scale(lam)
     _check_support(s, c0, c1)
     xv = np.asarray(x, dtype=float)
-    z = _trunc_normalizer(s, lam, c0, c1)
+    z = _normalizer(s - c0, c1 - s, lam)
     out = np.clip(_laplace_cdf_gap(np.clip(xv, c0, c1), s, lam, c0) / z, 0.0, 1.0)
     return float(out) if xv.ndim == 0 else out
 
@@ -227,15 +194,18 @@ def trunc_laplace_sample(s: float, lam, c0: float, c1: float, rng, size=None):
             t = 2.0 * (1.0 - u)
             x = s - lam * (float(np.log(t)) if t > 0.0 else -math.inf)
         return _clamp(x, c0, c1)
+    # the same inversion with one log per draw: s + lam log(2u) below the
+    # median, s - lam log(2(1 - u)) above it
+    low = u < 0.5
+    x = np.where(low, u, 1.0 - u)
+    x *= 2.0
     # log only hits zero at the interval's own endpoints; the clip repairs
     # the resulting infinities, so the warning is noise
     with np.errstate(divide="ignore"):
-        x = np.where(
-            np.asarray(u) < 0.5,
-            s + lam * np.log(2.0 * np.asarray(u)),
-            s - lam * np.log(2.0 * (1.0 - np.asarray(u))),
-        )
-    return np.clip(x, c0, c1)
+        np.log(x, out=x)
+    x *= np.where(low, lam, -lam)
+    x += s
+    return np.clip(x, c0, c1, out=x)
 
 
 def bit_laplace_sample(s: float, lam, c0: float, c1: float, rng, size=None):
@@ -265,71 +235,6 @@ def bit_boundary_masses(s: float, lam, c0: float, c1: float) -> tuple[float, flo
     lam = _as_scale(lam)
     _check_support(s, c0, c1)
     return 0.5 * math.exp(-(s - c0) / lam), 0.5 * math.exp(-(c1 - s) / lam)
-
-
-def exponential_mechanism_discrete(candidates, utilities, delta_u: float, epsilon: float, rng, out_of_bounds=None, size=None):
-    """Pick a candidate with probability proportional to exp(u * eps / (2 du)).
-
-    Args:
-        candidates: non-empty sequence of arbitrary objects.
-        utilities: one finite utility per candidate. Non-finite utilities
-            are rejected; candidates that must never be selected are marked
-            through ``out_of_bounds`` instead, which keeps the weight
-            arithmetic total.
-        delta_u: utility sensitivity, positive.
-        epsilon: privacy budget, positive.
-        rng: :class:`RandomStream` or numpy Generator.
-        out_of_bounds: optional boolean flags; flagged candidates get
-            selection probability exactly zero.
-        size: ``None`` for one selected candidate, else a count of
-            independent selections returned as a list.
-    """
-    cands = list(candidates)
-    if not cands:
-        raise ValueError("candidate set is empty")
-    utils = np.asarray(list(utilities), dtype=float)
-    if utils.shape != (len(cands),):
-        raise ValueError(f"got {len(cands)} candidates but utilities of shape {utils.shape}")
-    if not np.all(np.isfinite(utils)):
-        raise ValueError("utilities must be finite; mark unusable candidates via out_of_bounds")
-    if not delta_u > 0.0:
-        raise ValueError(f"utility sensitivity must be positive, got {delta_u}")
-    if not epsilon > 0.0:
-        raise ValueError(f"privacy budget must be positive, got {epsilon}")
-    if out_of_bounds is None:
-        mask = np.zeros(len(cands), dtype=bool)
-    else:
-        mask = np.asarray(list(out_of_bounds), dtype=bool)
-        if mask.shape != (len(cands),):
-            raise ValueError(f"got {len(cands)} candidates but flags of shape {mask.shape}")
-    if mask.all():
-        raise ValueError("every candidate is flagged out of bounds")
-    g = _as_generator(rng)
-    logw = utils * (epsilon / (2.0 * delta_u))
-    probs = np.zeros(len(cands))
-    probs[~mask] = np.exp(logw[~mask] - logw[~mask].max())
-    probs /= probs.sum()
-    idx = g.choice(len(cands), size=size, p=probs)
-    if size is None:
-        return cands[int(idx)]
-    return [cands[int(i)] for i in np.asarray(idx).ravel()]
-
-
-def gaussian_sigma_lower_bound(delta1: float, epsilon: float, delta: float) -> float:
-    """Smallest Gaussian noise sigma meeting an (epsilon, delta) guarantee.
-
-    Evaluates ``sigma = delta1 (sqrt(q^2 + 2 eps) - q) / (2 eps)`` with
-    ``q`` the standard normal quantile at ``delta / 2``. Decreasing in both
-    epsilon and delta, linear in the sensitivity.
-    """
-    if not delta1 > 0.0:
-        raise ValueError(f"sensitivity must be positive, got {delta1}")
-    if not epsilon > 0.0:
-        raise ValueError(f"privacy budget must be positive, got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie strictly between 0 and 1, got {delta}")
-    q = standard_normal_quantile(0.5 * delta)
-    return delta1 * ((math.sqrt(q * q + 2.0 * epsilon) - q) / (2.0 * epsilon))
 
 
 # Rational minimax coefficients for the normal quantile (P. Acklam's fit),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mechanisms import _as_scale, _check_support
+from .mechanisms import _as_scale, _check_support, _normalizer
 
 __all__ = [
     "MomentReport",
@@ -54,11 +54,6 @@ def _erlang_cdf3(t: float) -> float:
     return 1.0 - math.exp(-t) * (1.0 + t + 0.5 * t * t)
 
 
-def _normalizer(d0: float, d1: float, lam: float) -> float:
-    # Z = 1 - (e^{-d0/lam} + e^{-d1/lam}) / 2, kept exact for huge scales
-    return -0.5 * (math.expm1(-d0 / lam) + math.expm1(-d1 / lam))
-
-
 def _trunc_bias_core(d0: float, d1: float, lam: float) -> float:
     """Mean shift of the truncated release, assuming d0 <= d1."""
     e0 = math.exp(-d0 / lam)
@@ -66,7 +61,7 @@ def _trunc_bias_core(d0: float, d1: float, lam: float) -> float:
         return 0.0  # both tails below the double floor; the shift is too
     u = (d0 - d1) / lam  # <= 0, so expm1 cannot overflow
     num = -0.5 * e0 * (_scaled_expm1_minus_x(d0 - d1, lam) + d1 * math.expm1(u))
-    return num / _normalizer(d0, d1, lam)
+    return num / float(_normalizer(d0, d1, lam))
 
 
 def _trunc_bias(d0: float, d1: float, lam: float) -> float:
@@ -122,7 +117,7 @@ def trunc_second_moment(s: float, lam, c0: float, c1: float) -> float:
     _check_support(s, c0, c1)
     s = float(s)
     d0, d1 = _gaps(s, c0, c1)
-    ey2 = lam * lam * (_erlang_cdf3(d0 / lam) + _erlang_cdf3(d1 / lam)) / _normalizer(d0, d1, lam)
+    ey2 = lam * lam * (_erlang_cdf3(d0 / lam) + _erlang_cdf3(d1 / lam)) / float(_normalizer(d0, d1, lam))
     return ey2 + 2.0 * s * _trunc_bias(d0, d1, lam) + s * s
 
 

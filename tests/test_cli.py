@@ -14,6 +14,14 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def usage_error(capsys, *argv):
+    """Run ``main`` expecting argparse's usage exit; returns its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_parses_keys_comments_and_blanks(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -79,8 +87,26 @@ class TestAuditCommand:
 
     @pytest.mark.parametrize("mech", ["trunc", "bit"])
     def test_rejects_infinite_bound(self, capsys, mech):
-        with pytest.raises(ValueError, match="bounds must be finite"):
-            main(["audit", "--mech", mech, "--lambda", "1", "--c0", "0", "--c1", "inf", "--delta1", "0.3"])
+        err = usage_error(capsys, "audit", "--mech", mech, "--lambda", "1", "--c0", "0", "--c1", "inf",
+                          "--delta1", "0.3")
+        assert "dpsan: error: bounds must be finite, got [0.0, inf]" in err
+
+
+class TestLibraryErrors:
+    """A library ValueError exits like a bad flag: status 2, message on stderr."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (("audit", "--mech", "trunc", "--lambda", "-1", "--c0", "0", "--c1", "1", "--delta1", "0.3"),
+         "noise scale must be finite and positive"),
+        (("audit", "--mech", "trunc", "--lambda", "1", "--c0", "0", "--c1", "1", "--delta1", "0.3",
+          "--grid", "50"), "grid resolution must be an integer of at least 100"),
+        (("moments", "--s", "2", "--c0", "0", "--c1", "1", "--lambda", "0.5"),
+         "statistic 2.0 lies outside its bounds"),
+        (("sim", "prop", "--eps", "-1", "--reps", "1"), "budgets must be finite and positive"),
+    ], ids=["audit-lambda", "audit-grid", "moments-s", "sim-eps"])
+    def test_exits_with_usage_status(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)  # the sim case would write here if it ran
+        assert f"dpsan: error: {message}" in usage_error(capsys, *argv)
 
 
 class TestSimCommand:
@@ -141,8 +167,8 @@ class TestSimCommand:
         assert header == "study,spec,n,eps,mechanism,rep,stat,original,sanitized"
 
     def test_invalid_grid_surfaces_as_error(self, capsys):
-        with pytest.raises(ValueError):
-            main(["sim", "prop", "--n", "50,10", "--reps", "1"])
+        err = usage_error(capsys, "sim", "prop", "--n", "50,10", "--reps", "1")
+        assert "dpsan: error: sample size grid must be strictly increasing" in err
 
 
 class TestHelp:

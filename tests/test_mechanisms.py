@@ -1,4 +1,4 @@
-"""Mechanism tests: streams, densities, samplers, and analytic helpers."""
+"""Mechanism tests: streams, densities, samplers, and the normal quantile."""
 
 import math
 
@@ -33,39 +33,6 @@ class TestRandomStream:
     def test_rejects_invalid_identity(self, seed, ids):
         with pytest.raises(ValueError):
             d.RandomStream(seed, ids)
-
-
-class TestLaplaceScale:
-    def test_from_budget_is_sensitivity_over_epsilon(self):
-        assert float(d.LaplaceScale.from_budget(2.0, 0.5)) == 4.0
-
-    def test_rejects_nonpositive_or_nonfinite(self):
-        for bad in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                d.LaplaceScale(bad)
-        with pytest.raises(ValueError):
-            d.LaplaceScale.from_budget(1.0, 0.0)
-        with pytest.raises(ValueError):
-            d.LaplaceScale.from_budget(0.0, 1.0)
-
-
-class TestPlainLaplace:
-    def test_centers_on_statistic(self):
-        draws = d.laplace_sanitize(5.0, 1.0, d.RandomStream(11), size=200_000)
-        assert abs(draws.mean() - 5.0) < 4 * math.sqrt(2.0 / 200_000)
-
-    def test_vanishing_scale_recovers_statistic(self):
-        assert abs(d.laplace_sanitize(5.0, 1e-12, d.RandomStream(1)) - 5.0) < 1e-9
-
-    def test_accepts_laplace_scale_object(self):
-        lam = d.LaplaceScale(1.0)
-        a = d.laplace_sanitize(0.0, lam, d.RandomStream(5))
-        b = d.laplace_sanitize(0.0, 1.0, d.RandomStream(5))
-        assert a == b
-
-    def test_rejects_nonfinite_statistic(self):
-        with pytest.raises(ValueError):
-            d.laplace_sanitize(math.inf, 1.0, d.RandomStream(0))
 
 
 class TestTruncDensity:
@@ -160,7 +127,7 @@ class TestTruncSampler:
 
 class TestBitSampler:
     def test_is_clamped_plain_release(self):
-        plain = d.laplace_sanitize(0.2, 0.5, d.RandomStream(31), size=5_000)
+        plain = 0.2 + d.RandomStream(31).generator().laplace(0.0, 0.5, size=5_000)
         clamped = d.bit_laplace_sample(0.2, 0.5, 0.0, 1.0, d.RandomStream(31), size=5_000)
         assert np.array_equal(np.clip(plain, 0.0, 1.0), clamped)
 
@@ -229,73 +196,6 @@ class TestBoundaryMasses:
         interior, _ = integrate.quad(lambda x: math.exp(-abs(x - s) / lam) / (2 * lam),
                                      c0, c1, points=[s], limit=200)
         assert p0 + p1 + interior == pytest.approx(1.0, abs=1e-9)
-
-
-class TestExponentialMechanism:
-    def test_uniform_over_tied_utilities(self):
-        picks = d.exponential_mechanism_discrete(
-            ["a", "b", "c", "d"], [2.0, 2.0, 2.0, 2.0], 1.0, 1.0, d.RandomStream(41), size=40_000)
-        counts = [picks.count(c) for c in "abcd"]
-        assert stats.chisquare(counts).pvalue > 0.01
-
-    def test_weight_ratio_follows_budget(self):
-        # utilities (1, 0), delta_u=1, eps=2 -> odds e : 1
-        picks = d.exponential_mechanism_discrete(
-            [1, 0], [1.0, 0.0], 1.0, 2.0, d.RandomStream(42), size=100_000)
-        target = math.e / (1.0 + math.e)
-        freq = picks.count(1) / len(picks)
-        assert abs(freq - target) < 4 * math.sqrt(target * (1 - target) / len(picks))
-
-    def test_flagged_candidate_never_selected(self):
-        picks = d.exponential_mechanism_discrete(
-            ["flagged", "ok"], [100.0, 0.0], 1.0, 5.0, d.RandomStream(43),
-            out_of_bounds=[True, False], size=1_000_000)
-        assert picks.count("flagged") == 0
-
-    def test_deterministic_given_stream(self):
-        args = (["x", "y", "z"], [0.3, 0.2, 0.1], 0.5, 1.0)
-        a = d.exponential_mechanism_discrete(*args, d.RandomStream(44), size=50)
-        b = d.exponential_mechanism_discrete(*args, d.RandomStream(44), size=50)
-        assert a == b
-
-    def test_rejects_bad_inputs(self):
-        g = d.RandomStream(45).generator()
-        with pytest.raises(ValueError):
-            d.exponential_mechanism_discrete([], [], 1.0, 1.0, g)
-        with pytest.raises(ValueError):
-            d.exponential_mechanism_discrete(["a"], [math.inf], 1.0, 1.0, g)
-        with pytest.raises(ValueError):
-            d.exponential_mechanism_discrete(["a", "b"], [0.0], 1.0, 1.0, g)
-        with pytest.raises(ValueError):
-            d.exponential_mechanism_discrete(["a", "b"], [0.0, 0.0], 0.0, 1.0, g)
-        with pytest.raises(ValueError):
-            d.exponential_mechanism_discrete(["a", "b"], [0.0, 0.0], 1.0, -1.0, g)
-        with pytest.raises(ValueError):
-            d.exponential_mechanism_discrete(["a", "b"], [0.0, 0.0], 1.0, 1.0, g,
-                                             out_of_bounds=[True, True])
-
-
-class TestGaussianSigma:
-    def test_frozen_value(self):
-        assert d.gaussian_sigma_lower_bound(1.0, 1.0, 0.05) == pytest.approx(2.1884374962806347, abs=1e-12)
-
-    def test_matches_scipy_quantile_formula(self):
-        for d1, eps, delta in [(1.0, 1.0, 0.05), (0.72, 1 / 3, 0.01), (0.01, 2.0, 0.3)]:
-            q = float(special.ndtri(delta / 2.0))
-            expected = d1 * (math.sqrt(q * q + 2 * eps) - q) / (2 * eps)
-            assert d.gaussian_sigma_lower_bound(d1, eps, delta) == pytest.approx(expected, rel=1e-12)
-
-    def test_linear_in_sensitivity(self):
-        assert d.gaussian_sigma_lower_bound(2.0, 1.0, 0.05) == 2.0 * d.gaussian_sigma_lower_bound(1.0, 1.0, 0.05)
-
-    def test_decreasing_in_budget_and_delta(self):
-        assert d.gaussian_sigma_lower_bound(1.0, 0.5, 0.05) > d.gaussian_sigma_lower_bound(1.0, 1.0, 0.05)
-        assert d.gaussian_sigma_lower_bound(1.0, 1.0, 0.01) > d.gaussian_sigma_lower_bound(1.0, 1.0, 0.1)
-
-    def test_rejects_invalid_parameters(self):
-        for d1, eps, delta in [(0.0, 1.0, 0.05), (1.0, 0.0, 0.05), (1.0, 1.0, 0.0), (1.0, 1.0, 1.0)]:
-            with pytest.raises(ValueError):
-                d.gaussian_sigma_lower_bound(d1, eps, delta)
 
 
 class TestNormalQuantile:

@@ -103,6 +103,12 @@ class TestBiasStructure:
         assert rep.trunc_bias == pytest.approx(rep.trunc_mean - 0.2, abs=1e-15)
         assert rep.bit_bias == pytest.approx(rep.bit_mean - 0.2, abs=1e-15)
         assert not rep.tails_underflowed
+        # exactly float: an np.float64 has another repr, which would change
+        # the `dpsan moments` output
+        assert all(type(v) is float for v in (
+            rep.trunc_mean, rep.bit_mean, rep.trunc_second_moment, rep.bit_second_moment,
+            rep.trunc_bias, rep.bit_bias, d.trunc_mean(0.2, 0.5, 0.0, 1.0), d.bit_mean(0.2, 0.5, 0.0, 1.0),
+            d.trunc_second_moment(0.2, 0.5, 0.0, 1.0), d.bit_second_moment(0.2, 0.5, 0.0, 1.0)))
 
     @pytest.mark.parametrize("s,lam,c0,c1", random_tuples(78, 60) + HUGE_SCALE_POINTS)
     def test_trunc_bias_dominates_and_shares_sign(self, s, lam, c0, c1):
