@@ -43,8 +43,6 @@ class LedgerEntry:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str) or not self.label:
             raise ValueError(f"label must be a non-empty string, got {self.label!r}")
-        if _breaks_line(self.label):
-            raise ValueError(f"label must not contain tabs or newlines, got {self.label!r}")
         eps = float(self.epsilon)
         if not math.isfinite(eps) or eps <= 0.0:
             raise ValueError(f"spend must be finite and positive, got {self.epsilon!r}")
@@ -52,13 +50,6 @@ class LedgerEntry:
         if self.group is not None:
             if not isinstance(self.group, str) or not self.group:
                 raise ValueError(f"group must be None or a non-empty string, got {self.group!r}")
-            if _breaks_line(self.group):
-                raise ValueError(f"group must not contain tabs or newlines, got {self.group!r}")
-
-
-def _breaks_line(text: str) -> bool:
-    """True if ``text`` holds a tab or line break, which the ledger text format reserves."""
-    return "\t" in text or "\n" in text or "\r" in text
 
 
 def allocate_equal(epsilon: float, k: int) -> list[float]:
@@ -129,32 +120,26 @@ class BudgetLedger:
         self._group_max: dict[str, float] = {}
         self._spent = 0.0
 
-    def _spent_with(self, entry: LedgerEntry) -> float:
-        """The composed total once ``entry`` is added."""
-        group_max = self._group_max
-        if entry.group is None:
-            return math.fsum(self._sequential + [entry.epsilon] + sorted(group_max.values()))
-        grown = {**group_max, entry.group: max(group_max.get(entry.group, 0.0), entry.epsilon)}
-        return math.fsum(self._sequential + sorted(grown.values()))
-
-    def _record(self, entry: LedgerEntry, spent: float) -> None:
-        self._entries.append(entry)
-        if entry.group is None:
-            self._sequential.append(entry.epsilon)
-        else:
-            self._group_max[entry.group] = max(self._group_max.get(entry.group, 0.0), entry.epsilon)
-        self._spent = spent
-
     def spend(self, label: str, epsilon: float, group: str | None = None) -> LedgerEntry:
         entry = LedgerEntry(label, epsilon, group)
-        would_spend = self._spent_with(entry)
+        sequential, group_max = self._sequential, self._group_max
+        if group is None:
+            would_spend = math.fsum(sequential + [entry.epsilon] + sorted(group_max.values()))
+        else:
+            grown = {**group_max, group: max(group_max.get(group, 0.0), entry.epsilon)}
+            would_spend = math.fsum(sequential + sorted(grown.values()))
         if would_spend > self.total:
             remaining = self.remaining()
             raise BudgetExceededError(
                 f"spend {entry.epsilon!r} for {label!r} refused: remaining budget is {remaining!r}",
                 remaining,
             )
-        self._record(entry, would_spend)
+        self._entries.append(entry)
+        if group is None:
+            sequential.append(entry.epsilon)
+        else:
+            self._group_max = grown
+        self._spent = would_spend
         return entry
 
     def entries(self) -> tuple[LedgerEntry, ...]:
@@ -165,36 +150,3 @@ class BudgetLedger:
 
     def remaining(self) -> float:
         return max(0.0, self.total - self.spent())
-
-    def to_lines(self) -> list[str]:
-        """Serialize as tab-separated lines; floats survive round-trips via repr."""
-        lines = [f"total\t{self.total!r}"]
-        for e in self._entries:
-            cls = "seq" if e.group is None else f"par:{e.group}"
-            lines.append(f"{e.label}\t{cls}\t{e.epsilon!r}")
-        return lines
-
-    @classmethod
-    def from_lines(cls, lines) -> "BudgetLedger":
-        lines = list(lines)
-        if not lines or not lines[0].startswith("total\t"):
-            raise ValueError("ledger text must start with a 'total' line")
-        ledger = cls(float(lines[0].split("\t", 1)[1]))
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"malformed ledger line: {line!r}")
-            label, kind, eps = parts
-            if kind == "seq":
-                group = None
-            elif kind.startswith("par:"):
-                group = kind[4:]
-            else:
-                raise ValueError(f"unknown spend class {kind!r} in line {line!r}")
-            entry = LedgerEntry(label, float(eps), group)
-            ledger._record(entry, ledger._spent_with(entry))
-        if ledger.spent() > ledger.total:
-            raise ValueError("ledger text spends more than its stated total")
-        return ledger

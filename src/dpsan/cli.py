@@ -152,16 +152,16 @@ def _cmd_audit(args) -> int:
 def main(argv=None) -> int:
     """Run one subcommand; returns its exit status.
 
-    A ``ValueError`` from the library (an invalid setting, bound or scale)
-    is reported as argparse reports a bad flag: the usage line and one
-    error line on stderr, then exit status 2.
+    A library ``ValueError`` (an invalid setting, bound or scale) or an
+    ``OSError`` (an unreadable config file, an unwritable output directory)
+    is reported like a bad flag: usage, one error line, exit status 2.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
     command = {"sim": _cmd_sim, "moments": _cmd_moments, "audit": _cmd_audit}[args.command]
     try:
         return command(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
 
 

@@ -25,10 +25,6 @@ __all__ = [
     "standard_normal_quantile",
 ]
 
-_SQRT2 = math.sqrt(2.0)
-_SQRT2PI = math.sqrt(2.0 * math.pi)
-
-
 @dataclass(frozen=True)
 class RandomStream:
     """Deterministic, splittable source of randomness.
@@ -237,28 +233,11 @@ def bit_boundary_masses(s: float, lam, c0: float, c1: float) -> tuple[float, flo
     return 0.5 * math.exp(-(s - c0) / lam), 0.5 * math.exp(-(c1 - s) / lam)
 
 
-# Rational minimax coefficients for the normal quantile (P. Acklam's fit),
-# polished below with one Halley step so the result is accurate to machine
-# precision rather than the fit's native ~1e-9.
-_NQ_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_NQ_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-_NQ_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_NQ_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-
-
 def standard_normal_quantile(p: float) -> float:
     """Inverse of the standard normal CDF.
 
-    Exact endpoints: returns ``-inf`` at 0 and ``+inf`` at 1. Elsewhere a
-    piecewise rational approximation refined through ``erfc`` keeps the
-    absolute error near machine precision. Only the lower half is computed
-    directly; the upper half reflects through ``1 - p`` (exact in floats
-    for p >= 0.5), which keeps the refinement's erfc argument in its
-    full-precision regime.
+    Exact endpoints: returns ``-inf`` at 0 and ``+inf`` at 1. Elsewhere it
+    is the standard library's ``NormalDist().inv_cdf``.
     """
     p = float(p)
     if math.isnan(p) or not 0.0 <= p <= 1.0:
@@ -267,24 +246,9 @@ def standard_normal_quantile(p: float) -> float:
         return -math.inf
     if p == 1.0:
         return math.inf
-    if p > 0.5:
-        return -_quantile_lower_half(1.0 - p)
-    return _quantile_lower_half(p)
+    # imported here: `statistics` pulls in `fractions` and `decimal` (about
+    # 6 ms and 0.5 MB), which every `import dpsan` would pay, while
+    # `pipelines._two_sided_z` calls this only once per confidence level
+    from statistics import NormalDist
 
-
-def _quantile_lower_half(p: float) -> float:
-    a, b, c, d = _NQ_A, _NQ_B, _NQ_C, _NQ_D
-    if p < 0.02425:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    else:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    if abs(x) < 37.0:  # exp(x^2 / 2) stays finite, so one Halley step is safe
-        err = 0.5 * math.erfc(-x / _SQRT2) - p
-        u = err * _SQRT2PI * math.exp(0.5 * x * x)
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
+    return NormalDist().inv_cdf(p)

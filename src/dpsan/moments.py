@@ -36,22 +36,25 @@ def _scaled_expm1_minus_x(d: float, lam: float) -> float:
     return lam * (math.expm1(u) - u)
 
 
-def _erlang_cdf2(t: float) -> float:
-    """P(Gamma(2,1) <= t) = 1 - e^-t (1 + t), series-stabilized near zero."""
+def _scaled_erlang_cdf2(d: float, lam: float) -> float:
+    """lam^2 (1 - e^-t (1 + t)) at t = d / lam; the series is scaled by d * d,
+    as ``lam * lam`` overflows and ``t * t`` underflows at huge scales."""
+    t = d / lam
     if t < 1e-2:
-        return t * t * (0.5 + t * (-1.0 / 3.0 + t * (0.125 + t * (-1.0 / 30.0 + t / 144.0))))
+        return d * d * (0.5 + t * (-1.0 / 3.0 + t * (0.125 + t * (-1.0 / 30.0 + t / 144.0))))
     if t > 745.0:  # e^-t underflows before the polynomial can overflow
-        return 1.0
-    return 1.0 - math.exp(-t) * (1.0 + t)
+        return lam * lam
+    return lam * lam * (1.0 - math.exp(-t) * (1.0 + t))
 
 
-def _erlang_cdf3(t: float) -> float:
-    """P(Gamma(3,1) <= t) = 1 - e^-t (1 + t + t^2/2), series-stabilized."""
+def _scaled_erlang_cdf3(d: float, lam: float) -> float:
+    """lam^2 (1 - e^-t (1 + t + t^2/2)) at t = d / lam, series scaled by d * d * t."""
+    t = d / lam
     if t < 1e-2:
-        return t ** 3 * (1.0 / 6.0 + t * (-0.125 + t * (0.05 + t * (-1.0 / 72.0 + t / 336.0))))
+        return d * d * t * (1.0 / 6.0 + t * (-0.125 + t * (0.05 + t * (-1.0 / 72.0 + t / 336.0))))
     if t > 745.0:
-        return 1.0
-    return 1.0 - math.exp(-t) * (1.0 + t + 0.5 * t * t)
+        return lam * lam
+    return lam * lam * (1.0 - math.exp(-t) * (1.0 + t + 0.5 * t * t))
 
 
 def _trunc_bias_core(d0: float, d1: float, lam: float) -> float:
@@ -117,7 +120,7 @@ def trunc_second_moment(s: float, lam, c0: float, c1: float) -> float:
     _check_support(s, c0, c1)
     s = float(s)
     d0, d1 = _gaps(s, c0, c1)
-    ey2 = lam * lam * (_erlang_cdf3(d0 / lam) + _erlang_cdf3(d1 / lam)) / float(_normalizer(d0, d1, lam))
+    ey2 = (_scaled_erlang_cdf3(d0, lam) + _scaled_erlang_cdf3(d1, lam)) / float(_normalizer(d0, d1, lam))
     return ey2 + 2.0 * s * _trunc_bias(d0, d1, lam) + s * s
 
 
@@ -127,7 +130,7 @@ def bit_second_moment(s: float, lam, c0: float, c1: float) -> float:
     _check_support(s, c0, c1)
     s = float(s)
     d0, d1 = _gaps(s, c0, c1)
-    ey2 = lam * lam * (_erlang_cdf2(d0 / lam) + _erlang_cdf2(d1 / lam))
+    ey2 = _scaled_erlang_cdf2(d0, lam) + _scaled_erlang_cdf2(d1, lam)
     return ey2 + 2.0 * s * _bit_bias(d0, d1, lam) + s * s
 
 

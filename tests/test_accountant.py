@@ -46,10 +46,6 @@ class TestLedgerEntry:
         with pytest.raises(ValueError):
             d.LedgerEntry("", 0.1)
         with pytest.raises(ValueError):
-            d.LedgerEntry("a\tb", 0.1)
-        with pytest.raises(ValueError):
-            d.LedgerEntry("a\nb", 0.1)
-        with pytest.raises(ValueError):
             d.LedgerEntry("ok", 0.0)
         with pytest.raises(ValueError):
             d.LedgerEntry("ok", math.nan)
@@ -132,32 +128,6 @@ class TestBudgetLedger:
             with pytest.raises(ValueError):
                 d.BudgetLedger(bad)
 
-    def test_serialization_round_trip(self):
-        led = d.BudgetLedger(2.0)
-        led.spend("mean", 0.5)
-        led.spend("cat1", 0.75, group="g")
-        led.spend("cat2", 0.25, group="g")
-        lines = led.to_lines()
-        back = d.BudgetLedger.from_lines(lines)
-        assert back.total == led.total
-        assert back.entries() == led.entries()
-        assert back.spent() == led.spent()
-        assert back.to_lines() == lines
-
-    def test_round_trip_preserves_floats_exactly(self):
-        led = d.BudgetLedger(1.0)
-        led.spend("odd", 0.1 + 0.2)  # 0.30000000000000004 must survive
-        back = d.BudgetLedger.from_lines(led.to_lines())
-        assert back.entries()[0].epsilon == 0.1 + 0.2
-
-    def test_from_lines_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            d.BudgetLedger.from_lines([])
-        with pytest.raises(ValueError):
-            d.BudgetLedger.from_lines(["not a header"])
-        with pytest.raises(ValueError):
-            d.BudgetLedger.from_lines(["total\t1.0", "label only"])
-
 
 # spends drawn from exact shares of the total as well as arbitrary floats,
 # so budgets are hit exactly as often as they are overdrawn
@@ -194,6 +164,3 @@ class TestIncrementalLedger:
                 assert led.spent() == d.compose(led.entries())
             else:
                 assert led.spent() == 0.0
-            back = d.BudgetLedger.from_lines(led.to_lines())
-            assert back.spent() == led.spent()
-            assert back.entries() == led.entries()

@@ -103,7 +103,9 @@ class TestLibraryErrors:
         (("moments", "--s", "2", "--c0", "0", "--c1", "1", "--lambda", "0.5"),
          "statistic 2.0 lies outside its bounds"),
         (("sim", "prop", "--eps", "-1", "--reps", "1"), "budgets must be finite and positive"),
-    ], ids=["audit-lambda", "audit-grid", "moments-s", "sim-eps"])
+        (("sim", "prop", "--config", "missing.cfg"), "[Errno 2] No such file or directory: 'missing.cfg'"),
+        (("sim", "prop", "--config", "."), "[Errno 21] Is a directory: '.'"),
+    ], ids=["audit-lambda", "audit-grid", "moments-s", "sim-eps", "sim-config-missing", "sim-config-dir"])
     def test_exits_with_usage_status(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)  # the sim case would write here if it ran
         assert f"dpsan: error: {message}" in usage_error(capsys, *argv)
