@@ -52,9 +52,6 @@ from .simlab import (
     PROP_TRUTH,
     SimConfig,
     SimReport,
-    run_cov_study,
-    run_prop_ms_study,
-    run_prop_study,
     run_study,
     summarize,
 )
@@ -88,9 +85,6 @@ __all__ = [
     "covariance_output_bounds",
     "gs_catalog",
     "multiple_synthesis",
-    "run_cov_study",
-    "run_prop_ms_study",
-    "run_prop_study",
     "run_study",
     "sanitize_covariance",
     "sanitize_proportions",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,11 +33,12 @@ from .sensitivity import AttributeBounds
 __all__ = [
     "PROP_TRUTH",
     "COV_SPECS",
+    "CovRow",
+    "PropRow",
+    "CovSummary",
+    "PropSummary",
     "SimConfig",
     "SimReport",
-    "run_cov_study",
-    "run_prop_study",
-    "run_prop_ms_study",
     "run_study",
     "summarize",
 ]
@@ -59,18 +61,14 @@ COV_SPECS = {
     ),
 }
 
-DEFAULT_COV_NS = (50, 100, 200, 400, 800)
-DEFAULT_PROP_NS = (50, 100, 200, 300, 400, 500)
-DEFAULT_COV_EPS = (1.0,)
-DEFAULT_PROP_EPS = (0.1, 0.5, 1.0)
-
-_STUDIES = ("cov", "prop", "prop-ms")
-_DOMAIN = {"cov": 1, "prop": 2, "prop-ms": 3}
-
-_BASE_REP_COLS = ("study", "spec", "n", "eps", "mechanism", "rep", "stat", "original", "sanitized")
-_BASE_SUM_COLS = ("study", "spec", "n", "eps", "mechanism", "stat", "original",
-                  "mean", "q025", "q25", "q75", "q975", "bias", "rmse")
-_PROP_EXTRA_COLS = ("category", "truth", "cp")
+# Study rows: each field is a CSV column, in CSV order. Every cell is
+# exactly a str, int or float, which csv.writer writes as the study CSVs
+# spell them (an int through str, a float through repr, so NaN as "nan").
+CovRow = namedtuple("CovRow", "study spec n eps mechanism rep stat original sanitized")
+PropRow = namedtuple("PropRow", CovRow._fields + ("category", "truth", "cp"))
+CovSummary = namedtuple("CovSummary", "study spec n eps mechanism stat original "
+                                      "mean q025 q25 q75 q975 bias rmse")
+PropSummary = namedtuple("PropSummary", CovSummary._fields + ("category", "truth", "cp"))
 
 
 @dataclass(frozen=True)
@@ -93,16 +91,17 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         if self.study not in _STUDIES:
-            raise ValueError(f"study must be one of {_STUDIES}, got {self.study!r}")
+            raise ValueError(f"study must be one of {tuple(_STUDIES)}, got {self.study!r}")
+        study = _STUDIES[self.study]
         specs = tuple(int(s) for s in self.specs)
         if not specs or any(s not in COV_SPECS for s in specs):
             raise ValueError(f"spec ids must be drawn from {sorted(COV_SPECS)}, got {self.specs!r}")
-        ns = tuple(int(n) for n in self.ns) or _default_ns(self.study)
+        ns = tuple(int(n) for n in self.ns) or study.ns
         if any(n < 2 for n in ns):
             raise ValueError(f"sample sizes must be at least 2, got {ns}")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError(f"sample size grid must be strictly increasing, got {ns}")
-        eps = tuple(float(e) for e in self.eps) or _default_eps(self.study)
+        eps = tuple(float(e) for e in self.eps) or study.eps
         if any(not math.isfinite(e) or e <= 0.0 for e in eps):
             raise ValueError(f"budgets must be finite and positive, got {eps}")
         mechs = tuple(self.mechanisms)
@@ -121,93 +120,59 @@ class SimConfig:
         object.__setattr__(self, "out_dir", str(self.out_dir))
 
 
-def _default_ns(study: str) -> tuple[int, ...]:
-    return DEFAULT_COV_NS if study == "cov" else DEFAULT_PROP_NS
-
-
-def _default_eps(study: str) -> tuple[float, ...]:
-    return DEFAULT_COV_EPS if study == "cov" else DEFAULT_PROP_EPS
-
-
 @dataclass(frozen=True)
 class SimReport:
-    """Replicate rows plus their summary, ready for CSV serialization."""
+    """Replicate rows plus their summary, ready for CSV serialization.
+
+    The cov study's rows are :data:`CovRow` and :data:`CovSummary`; the
+    proportion studies' are :data:`PropRow` and :data:`PropSummary`.
+    """
 
     study: str
-    replicates: tuple[dict, ...]
-    summary: tuple[dict, ...]
-
-    def columns(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        if self.study == "cov":
-            return _BASE_REP_COLS, _BASE_SUM_COLS
-        return _BASE_REP_COLS + _PROP_EXTRA_COLS, _BASE_SUM_COLS + _PROP_EXTRA_COLS
+    replicates: tuple[CovRow | PropRow, ...]
+    summary: tuple[CovSummary | PropSummary, ...]
 
     def write_csv(self, out_dir) -> tuple[Path, Path]:
         """Write <study>_replicates.csv and <study>_summary.csv; returns the paths."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        rep_cols, sum_cols = self.columns()
         rep_path = out / f"{self.study}_replicates.csv"
         sum_path = out / f"{self.study}_summary.csv"
-        _write_rows(rep_path, self.replicates, rep_cols)
-        _write_rows(sum_path, self.summary, sum_cols)
+        _write_rows(rep_path, self.replicates)
+        _write_rows(sum_path, self.summary)
         return rep_path, sum_path
 
 
-# csv.writer writes None as "", a float through repr and an int through str,
-# which is the text the study CSVs use, so cells of these exact types go to
-# it as they are. Bools, subclasses and numpy scalars go through _format_cell.
-_CSV_NATIVE = frozenset({str, int, float, type(None)})
-
-
-def _format_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
-def _write_rows(path: Path, rows, columns) -> None:
+def _write_rows(path: Path, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([v if type(v) in _CSV_NATIVE else _format_cell(v) for v in map(row.get, columns)])
+        writer.writerow(rows[0]._fields)
+        writer.writerows(rows)
 
 
-def summarize(rows) -> list[dict]:
-    """Aggregate replicate rows into one summary row per cell.
+def summarize(rows) -> list[CovSummary | PropSummary]:
+    """Aggregate replicate rows into one summary row per cell, in first-seen order.
 
     Cells are keyed by (study, spec, n, eps, mechanism, stat). Bias and
-    RMSE are taken against the row's truth when present (proportion
-    studies) and against the fixed original otherwise. Replicates whose
-    estimate is undefined (NaN, e.g. a correlation after a sanitized
-    variance collapsed to zero) are excluded from the moments, quantiles,
-    and coverage of their cell.
+    RMSE are taken against the row's truth for :data:`PropRow` input
+    (proportion studies) and against the fixed original otherwise.
+    Replicates whose estimate is undefined (NaN, e.g. a correlation after a
+    sanitized variance collapsed to zero) are excluded from the moments,
+    quantiles, and coverage of their cell.
     """
     rows = list(rows)
     if not rows:
         raise ValueError("no replicate rows to summarize")
-    order: list[tuple] = []
-    groups: dict[tuple, list[dict]] = {}
+    groups: dict[tuple, list] = {}
     for row in rows:
-        key = (row["study"], row["spec"], row["n"], row["eps"], row["mechanism"], row["stat"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault((row.study, row.spec, row.n, row.eps, row.mechanism, row.stat), []).append(row)
 
+    prop = isinstance(rows[0], PropRow)
     out = []
-    for key in order:
-        grp = groups[key]
-        study, spec, n, eps, mech, stat = key
-        est = np.array([r["sanitized"] for r in grp], dtype=float)
-        orig = np.array([r["original"] for r in grp], dtype=float)
-        truth = grp[0].get("truth")
-        target = float(truth) if truth is not None else float(orig.mean())
+    for key, grp in groups.items():
+        est = np.array([r.sanitized for r in grp], dtype=float)
+        orig = np.array([r.original for r in grp], dtype=float)
+        target = float(grp[0].truth) if prop else float(orig.mean())
         defined = est[~np.isnan(est)]
         if defined.size:
             mean = float(defined.mean())
@@ -216,34 +181,27 @@ def summarize(rows) -> list[dict]:
             rmse = float(np.sqrt(np.mean((defined - target) ** 2)))
         else:
             mean = q025 = q25 = q75 = q975 = bias = rmse = math.nan
-        summary = {
-            "study": study, "spec": spec, "n": n, "eps": eps, "mechanism": mech, "stat": stat,
-            "original": float(orig.mean()), "mean": mean,
-            "q025": q025, "q25": q25, "q75": q75, "q975": q975,
-            "bias": bias, "rmse": rmse,
-        }
-        if "category" in grp[0]:
-            summary["category"] = grp[0]["category"]
-            summary["truth"] = target
-            cps = np.array([r["cp"] for r in grp], dtype=float)
+        cells = (*key, float(orig.mean()), mean, q025, q25, q75, q975, bias, rmse)
+        if prop:
+            cps = np.array([r.cp for r in grp], dtype=float)
             covered = cps[~np.isnan(cps)]
-            summary["cp"] = float(covered.mean()) if covered.size else math.nan
-        out.append(summary)
+            out.append(PropSummary(*cells, grp[0].category, target,
+                                   float(covered.mean()) if covered.size else math.nan))
+        else:
+            out.append(CovSummary(*cells))
     return out
 
 
-def run_cov_study(config: SimConfig) -> SimReport:
+def _run_cov(config: SimConfig) -> SimReport:
     """Sanitize each fixed covariance scenario ``reps`` times per cell.
 
     Statistics reported per replicate: the two sanitized variances, the
     sanitized cross-covariance, and the implied correlation (NaN when a
     sanitized variance is zero).
     """
-    if config.study != "cov":
-        raise ValueError(f"config.study must be 'cov', got {config.study!r}")
     root = RandomStream(config.seed)
-    domain = _DOMAIN["cov"]
-    rows: list[dict] = []
+    domain = _STUDIES["cov"].domain
+    rows: list[CovRow] = []
     for spec_id in config.specs:
         S, bounds = COV_SPECS[spec_id]
         for ie, eps in enumerate(config.eps):
@@ -252,46 +210,40 @@ def run_cov_study(config: SimConfig) -> SimReport:
                     for rep in range(config.reps):
                         g = root.child(domain, spec_id, ie, n, im, rep).generator()
                         out = sanitize_covariance(S, n, bounds, eps, mech, g)
-                        base = {"study": "cov", "spec": spec_id, "n": n, "eps": eps,
-                                "mechanism": mech, "rep": rep}
                         for stat, original, sanitized in (
                             ("s11", S.s11, out.s11),
                             ("s22", S.s22, out.s22),
                             ("s12", S.s12, out.s12),
                             ("r", S.correlation, out.correlation),
                         ):
-                            rows.append({**base, "stat": stat, "original": original,
-                                         "sanitized": sanitized})
+                            rows.append(CovRow("cov", spec_id, n, eps, mech, rep, stat, original, sanitized))
     return SimReport(study="cov", replicates=tuple(rows), summary=tuple(summarize(rows)))
 
 
-def _prop_rows(base: dict, mechanism: str, phat, estimates, cps) -> list[dict]:
-    rows = []
-    for k in range(4):
-        rows.append({**base, "mechanism": mechanism, "stat": f"p{k + 1}",
-                     "original": phat[k], "sanitized": float(estimates[k]),
-                     "category": k + 1, "truth": PROP_TRUTH[k], "cp": cps[k]})
-    return rows
+def _prop_rows(cell: tuple, mechanism: str, rep: int, phat, estimates, cps) -> list[PropRow]:
+    return [PropRow(*cell, mechanism, rep, f"p{k + 1}", phat[k], float(estimates[k]),
+                    k + 1, PROP_TRUTH[k], cps[k])
+            for k in range(4)]
 
 
 def _coverage(ci: tuple[float, float], truth: float) -> int:
     return 1 if ci[0] <= truth <= ci[1] else 0
 
 
-def _run_prop_like(config: SimConfig, study: str, release) -> SimReport:
+def _run_prop_like(config: SimConfig, release) -> SimReport:
     root = RandomStream(config.seed)
-    domain = _DOMAIN[study]
-    rows: list[dict] = []
+    domain = _STUDIES[config.study].domain
+    rows: list[PropRow] = []
     nan4 = (math.nan,) * 4
     for ie, eps in enumerate(config.eps):
         for n in config.ns:
+            cell = (config.study, 1, n, eps)
             for rep in range(config.reps):
                 data_g = root.child(domain, ie, n, rep, 0).generator()
                 counts = [int(c) for c in data_g.multinomial(n, PROP_TRUTH)]
                 phat = [c / n for c in counts]
-                base = {"study": study, "spec": 1, "n": n, "eps": eps, "rep": rep}
                 base_cis = [wald_ci(p, n) for p in phat]
-                rows += _prop_rows(base, "original", phat, phat,
+                rows += _prop_rows(cell, "original", rep, phat, phat,
                                    [_coverage(ci, t) for ci, t in zip(base_cis, PROP_TRUTH)])
                 for im, mech in enumerate(config.mechanisms):
                     g = root.child(domain, ie, n, rep, 1 + im).generator()
@@ -302,46 +254,50 @@ def _run_prop_like(config: SimConfig, study: str, release) -> SimReport:
                         # the replicate produced no release; keep the rows so
                         # counts still match the config, but leave them blank
                         estimates, cps = nan4, nan4
-                    rows += _prop_rows(base, mech, phat, estimates, cps)
-    return SimReport(study=study, replicates=tuple(rows), summary=tuple(summarize(rows)))
+                    rows += _prop_rows(cell, mech, rep, phat, estimates, cps)
+    return SimReport(study=config.study, replicates=tuple(rows), summary=tuple(summarize(rows)))
 
 
-def run_prop_study(config: SimConfig) -> SimReport:
+def _run_prop(config: SimConfig) -> SimReport:
     """Redraw multinomial data each replicate and sanitize the proportions once.
 
     Reports the sanitized estimates next to the unsanitized baseline
     (mechanism column ``original``), with Wald interval coverage of the
     true proportions.
     """
-    if config.study != "prop":
-        raise ValueError(f"config.study must be 'prop', got {config.study!r}")
 
     def release(counts, n, eps, mech, g):
         pv = sanitize_proportions(counts, eps, mech, g)
         return pv.p, [wald_ci(p, n) for p in pv.p]
 
-    return _run_prop_like(config, "prop", release)
+    return _run_prop_like(config, release)
 
 
-def run_prop_ms_study(config: SimConfig) -> SimReport:
-    """As :func:`run_prop_study`, but each release is an m-set synthesis.
+def _run_prop_ms(config: SimConfig) -> SimReport:
+    """As :func:`_run_prop`, but each release is an m-set synthesis.
 
     The combined point estimate and combined-variance interval replace the
     single release and its Wald interval.
     """
-    if config.study != "prop-ms":
-        raise ValueError(f"config.study must be 'prop-ms', got {config.study!r}")
 
     def release(counts, n, eps, mech, g):
         bundle = multiple_synthesis(counts, eps, config.m, mech, g)
         return bundle.estimate, bundle.ci
 
-    return _run_prop_like(config, "prop-ms", release)
+    return _run_prop_like(config, release)
 
 
-_RUNNERS = {"cov": run_cov_study, "prop": run_prop_study, "prop-ms": run_prop_ms_study}
+# One entry per study: the random-stream domain id (which keeps each
+# study's streams apart, so changing it changes the CSVs), the default
+# sample-size and budget grids, and the runner.
+_Study = namedtuple("_Study", "domain ns eps run")
+_STUDIES = {
+    "cov": _Study(1, (50, 100, 200, 400, 800), (1.0,), _run_cov),
+    "prop": _Study(2, (50, 100, 200, 300, 400, 500), (0.1, 0.5, 1.0), _run_prop),
+    "prop-ms": _Study(3, (50, 100, 200, 300, 400, 500), (0.1, 0.5, 1.0), _run_prop_ms),
+}
 
 
 def run_study(config: SimConfig) -> SimReport:
-    """Dispatch a config to its study runner."""
-    return _RUNNERS[config.study](config)
+    """Run the study ``config.study`` names."""
+    return _STUDIES[config.study].run(config)

@@ -49,7 +49,7 @@ def prop_ms_run():
 
 
 def summary_cells(report):
-    return {(r["eps"], r["n"], r["mechanism"], r["stat"]): r for r in report.summary}
+    return {(r.eps, r.n, r.mechanism, r.stat): r._asdict() for r in report.summary}
 
 
 def test_criterion_01_closed_form_moments_match_quadrature():
@@ -136,7 +136,7 @@ def test_criterion_05_sampler_fidelity():
 
 def test_criterion_06_covariance_study_trends(cov_run):
     report, elapsed = cov_run
-    cells = {(r["spec"], r["n"], r["mechanism"], r["stat"]): r for r in report.summary}
+    cells = {(r.spec, r.n, r.mechanism, r.stat): r._asdict() for r in report.summary}
 
     # (a) the correlation's bias is at least as large under trunc at n=50
     assert abs(cells[(3, 50, "trunc", "r")]["bias"]) >= abs(cells[(3, 50, "bit", "r")]["bias"])
@@ -151,12 +151,12 @@ def test_criterion_06_covariance_study_trends(cov_run):
     # (c) under the uncorrelated scenario the released cross-covariance is
     # centered on zero within its own Monte Carlo confidence interval
     for r in report.summary:
-        if r["spec"] == 1 and r["stat"] == "s12":
-            grp = np.array([x["sanitized"] for x in report.replicates
-                            if x["spec"] == 1 and x["stat"] == "s12"
-                            and x["n"] == r["n"] and x["mechanism"] == r["mechanism"]])
+        if r.spec == 1 and r.stat == "s12":
+            grp = np.array([x.sanitized for x in report.replicates
+                            if x.spec == 1 and x.stat == "s12"
+                            and x.n == r.n and x.mechanism == r.mechanism])
             se = grp.std(ddof=1) / math.sqrt(grp.size)
-            assert abs(r["mean"]) <= 1.96 * se, (r["n"], r["mechanism"], r["mean"], se)
+            assert abs(r.mean) <= 1.96 * se, (r.n, r.mechanism, r.mean, se)
 
     assert elapsed < 60.0, f"covariance study took {elapsed:.1f}s"
 

@@ -12,11 +12,10 @@ PUBLIC_API = [
     "RandomStream", "RenormalizationDegenerateError", "SimConfig", "SimReport",
     "SynthesisBundle", "allocate_equal", "audit_mechanism", "bias_order_check",
     "bit_boundary_masses", "bit_laplace_sample", "bit_mean", "bit_second_moment", "compose",
-    "covariance_output_bounds", "gs_catalog", "multiple_synthesis", "run_cov_study",
-    "run_prop_ms_study", "run_prop_study", "run_study", "sanitize_covariance",
-    "sanitize_proportions", "standard_normal_quantile", "summarize", "trunc_laplace_cdf",
-    "trunc_laplace_pdf", "trunc_laplace_sample", "trunc_mean", "trunc_second_moment",
-    "variance_output_bounds", "wald_ci",
+    "covariance_output_bounds", "gs_catalog", "multiple_synthesis", "run_study",
+    "sanitize_covariance", "sanitize_proportions", "standard_normal_quantile", "summarize",
+    "trunc_laplace_cdf", "trunc_laplace_pdf", "trunc_laplace_sample", "trunc_mean",
+    "trunc_second_moment", "variance_output_bounds", "wald_ci",
 ]
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -28,15 +27,19 @@ def test_exports_are_pinned_and_resolve():
         assert getattr(dpsan, name) is not None
 
 
-def test_benchmark_tracer_installs_and_uninstalls():
-    # the traced benchmark run looks up the functions it wraps by name, so
-    # install() raises once one of them is deleted or renamed
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    # the traced benchmark run looks up the functions it wraps by name, so
+    # install() raises once one of them is deleted or renamed
     sample = dpsan.mechanisms.trunc_laplace_sample
     mechanisms = dict(dpsan.pipelines.MECHANISMS)
-    t = tracer.Tracer().install(dpsan)
+    t = load_tracer().Tracer().install(dpsan)
     try:
         assert dpsan.mechanisms.trunc_laplace_sample is not sample
         dpsan.trunc_laplace_sample(0.2, 0.5, 0.0, 1.0, dpsan.RandomStream(1))
@@ -45,3 +48,20 @@ def test_benchmark_tracer_installs_and_uninstalls():
         t.uninstall()
     assert dpsan.mechanisms.trunc_laplace_sample is sample
     assert dpsan.pipelines.MECHANISMS == mechanisms
+
+
+def test_benchmark_tracer_counts_study_rows(tmp_path):
+    # the traced run takes len() of summarize's argument and of a report's
+    # replicates and summary as row counts, so rows must stay a sequence
+    # with one item per CSV row
+    t = load_tracer().Tracer().install(dpsan)
+    try:
+        assert dpsan.cli.main(["sim", "prop", "--n", "10", "--eps", "1", "--reps", "2",
+                               "--seed", "1", "--out", str(tmp_path)]) == 0
+    finally:
+        t.uninstall()
+    rep_rows, sum_rows = (len((tmp_path / name).read_text(encoding="utf-8").splitlines()) - 1
+                          for name in ("prop_replicates.csv", "prop_summary.csv"))
+    assert rep_rows == 2 * 3 * 4  # reps x (baseline + 2 mechanisms) x categories
+    assert t.counts["summarize.rows"] == rep_rows
+    assert t.counts["write_csv.rows"] == rep_rows + sum_rows

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dpsan as d
+from dpsan.simlab import CovRow, CovSummary, PropRow, PropSummary
 
 
 def small_cfg(study, **kw):
@@ -48,57 +49,55 @@ class TestSimConfig:
 
 
 class TestSummarize:
-    BASE = {"study": "x", "spec": 1, "n": 10, "eps": 1.0, "mechanism": "m", "stat": "s"}
-
-    def rows(self, values, **extra):
-        return [{**self.BASE, "rep": i, "original": 3.0, "sanitized": v, **extra}
-                for i, v in enumerate(values)]
+    def rows(self, values, truth=None, cps=None):
+        rows = [CovRow("x", 1, 10, 1.0, "m", i, "s", 3.0, v) for i, v in enumerate(values)]
+        if truth is None:
+            return rows
+        return [PropRow(*r, 1, truth, cp) for r, cp in zip(rows, cps or [1] * len(rows))]
 
     def test_five_point_fixture(self):
         # sanitized 1..5 against original 3: mean 3, bias 0, rmse sqrt(2)
         out = d.summarize(self.rows([1.0, 2.0, 3.0, 4.0, 5.0]))
         assert len(out) == 1
         row = out[0]
-        assert row["mean"] == 3.0
-        assert row["bias"] == 0.0
-        assert row["rmse"] == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        assert row.mean == 3.0
+        assert row.bias == 0.0
+        assert row.rmse == pytest.approx(math.sqrt(2.0), abs=1e-15)
         # numpy's default interpolated quantiles on 1..5
-        assert row["q025"] == pytest.approx(1.1, abs=1e-12)
-        assert row["q25"] == 2.0
-        assert row["q75"] == 4.0
-        assert row["q975"] == pytest.approx(4.9, abs=1e-12)
+        assert row.q025 == pytest.approx(1.1, abs=1e-12)
+        assert row.q25 == 2.0
+        assert row.q75 == 4.0
+        assert row.q975 == pytest.approx(4.9, abs=1e-12)
 
     def test_truth_overrides_original_as_target(self):
-        out = d.summarize(self.rows([1.0, 2.0, 3.0], category=1, truth=2.0, cp=1))
-        assert out[0]["bias"] == 0.0
-        assert out[0]["truth"] == 2.0
-        assert out[0]["cp"] == 1.0
+        out = d.summarize(self.rows([1.0, 2.0, 3.0], truth=2.0))
+        assert out[0].bias == 0.0
+        assert out[0].truth == 2.0
+        assert out[0].cp == 1.0
 
     def test_rmse_decomposes_into_bias_and_spread(self):
         vals = list(np.random.default_rng(5).normal(2.0, 0.3, 400))
         out = d.summarize(self.rows(vals))[0]
         spread = float(np.var(np.asarray(vals)))  # population variance
-        assert out["rmse"] ** 2 == pytest.approx(out["bias"] ** 2 + spread, abs=1e-10)
+        assert out.rmse ** 2 == pytest.approx(out.bias ** 2 + spread, abs=1e-10)
 
     def test_nan_estimates_are_excluded(self):
         out = d.summarize(self.rows([1.0, math.nan, 5.0]))[0]
-        assert out["mean"] == 3.0
-        assert not math.isnan(out["rmse"])
+        assert out.mean == 3.0
+        assert not math.isnan(out.rmse)
 
     def test_all_nan_cell_stays_nan(self):
         out = d.summarize(self.rows([math.nan, math.nan]))[0]
-        assert math.isnan(out["mean"]) and math.isnan(out["rmse"])
+        assert math.isnan(out.mean) and math.isnan(out.rmse)
 
     def test_nan_coverage_flags_are_excluded(self):
-        rows = self.rows([0.5, 0.5, 0.5], category=1, truth=0.5)
-        rows[0]["cp"], rows[1]["cp"], rows[2]["cp"] = 1, 0, math.nan
-        assert d.summarize(rows)[0]["cp"] == 0.5
+        rows = self.rows([0.5, 0.5, 0.5], truth=0.5, cps=[1, 0, math.nan])
+        assert d.summarize(rows)[0].cp == 0.5
 
     def test_groups_stay_in_first_seen_order(self):
-        rows = self.rows([1.0]) + [{**self.BASE, "stat": "t", "rep": 0,
-                                    "original": 0.0, "sanitized": 0.0}]
+        rows = self.rows([1.0]) + [CovRow("x", 1, 10, 1.0, "m", 0, "t", 0.0, 0.0)]
         out = d.summarize(rows)
-        assert [r["stat"] for r in out] == ["s", "t"]
+        assert [r.stat for r in out] == ["s", "t"]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -111,7 +110,7 @@ class TestCovStudy:
         rep = d.run_study(cfg)
         # 1 spec x 1 eps x 2 ns x 2 mechanisms x 5 reps x 4 stats
         assert len(rep.replicates) == 1 * 1 * 2 * 2 * 5 * 4
-        assert {r["stat"] for r in rep.replicates} == {"s11", "s22", "s12", "r"}
+        assert {r.stat for r in rep.replicates} == {"s11", "s22", "s12", "r"}
         # 2 ns x 2 mechanisms x 4 stats summary cells
         assert len(rep.summary) == 16
 
@@ -128,13 +127,9 @@ class TestCovStudy:
     def test_original_column_is_the_fixed_matrix(self):
         rep = d.run_study(small_cfg("cov", specs=(2,)))
         S = d.COV_SPECS[2][0]
-        originals = {r["stat"]: r["original"] for r in rep.replicates}
+        originals = {r.stat: r.original for r in rep.replicates}
         assert originals["s11"] == S.s11 and originals["s22"] == S.s22
         assert originals["s12"] == S.s12 and originals["r"] == S.correlation
-
-    def test_rejects_mismatched_study(self):
-        with pytest.raises(ValueError):
-            d.run_cov_study(small_cfg("prop"))
 
 
 class TestPropStudies:
@@ -143,19 +138,19 @@ class TestPropStudies:
         rep = d.run_study(cfg)
         # per replicate: (1 baseline + 2 mechanisms) x 4 categories
         assert len(rep.replicates) == 2 * 5 * 3 * 4
-        assert {r["mechanism"] for r in rep.replicates} == {"original", "trunc", "bit"}
+        assert {r.mechanism for r in rep.replicates} == {"original", "trunc", "bit"}
 
     def test_baseline_rows_echo_the_sample(self):
         rep = d.run_study(small_cfg("prop"))
         for r in rep.replicates:
-            if r["mechanism"] == "original":
-                assert r["sanitized"] == r["original"]
+            if r.mechanism == "original":
+                assert r.sanitized == r.original
 
     def test_truth_and_category_attached(self):
         rep = d.run_study(small_cfg("prop"))
         for r in rep.replicates:
-            assert r["truth"] == d.PROP_TRUTH[r["category"] - 1]
-            assert r["cp"] in (0, 1) or math.isnan(r["cp"])
+            assert r.truth == d.PROP_TRUTH[r.category - 1]
+            assert r.cp in (0, 1) or math.isnan(r.cp)
 
     def test_shared_data_stream_across_mechanisms(self):
         # the baseline row and both sanitized rows of one replicate must
@@ -163,7 +158,7 @@ class TestPropStudies:
         rep = d.run_study(small_cfg("prop", mechanisms=("trunc", "bit")))
         by_key = {}
         for r in rep.replicates:
-            by_key.setdefault((r["n"], r["rep"], r["category"]), set()).add(r["original"])
+            by_key.setdefault((r.n, r.rep, r.category), set()).add(r.original)
         assert all(len(v) == 1 for v in by_key.values())
 
     def test_ms_study_runs_and_carries_m(self):
@@ -179,10 +174,10 @@ class TestPropStudies:
         cfg = d.SimConfig("prop", ns=(40,), eps=(0.001,), mechanisms=("bit",), reps=400, seed=1)
         rep = d.run_study(cfg)
         assert len(rep.replicates) == 400 * 2 * 4
-        sanitized = [r for r in rep.replicates if r["mechanism"] == "bit"]
-        nan_rows = [r for r in sanitized if math.isnan(r["sanitized"])]
+        sanitized = [r for r in rep.replicates if r.mechanism == "bit"]
+        nan_rows = [r for r in sanitized if math.isnan(r.sanitized)]
         assert len(nan_rows) == 3 * 4
-        assert all(math.isnan(r["cp"]) for r in nan_rows)
+        assert all(math.isnan(r.cp) for r in nan_rows)
 
 
 class TestCsvOutput:
@@ -216,21 +211,18 @@ class TestCsvOutput:
         rep_path, _ = rep.write_csv(tmp_path)
         lines = rep_path.read_text(encoding="utf-8").splitlines()
         first = lines[1].split(",")
-        assert float(first[-1]) == rep.replicates[0]["sanitized"]
+        assert float(first[-1]) == rep.replicates[0].sanitized
 
-    def test_cell_text_by_type(self, tmp_path):
-        from dpsan.simlab import _write_rows
-
-        class Label(str):
-            pass
-
-        row = {"none": None, "str": "trunc", "sub": Label("bit"), "int": 50, "float": 0.1,
-               "nan": math.nan, "bool": True, "np_int": np.int64(7), "np_float": np.float64(1 / 3),
-               "np_bool": np.bool_(False)}
-        path = tmp_path / "cells.csv"
-        _write_rows(path, [row], tuple(row) + ("missing",))
-        line = path.read_text(encoding="utf-8").splitlines()[1]
-        assert line == ",trunc,bit,50,0.1,nan,1,7,0.3333333333333333,0,"
+    @pytest.mark.parametrize("study", ["cov", "prop", "prop-ms"])
+    def test_cells_are_exact_csv_types(self, study):
+        # rows go to csv.writer as they are, which spells an exact str, int
+        # or float as the study CSVs do; a bool, a str or float subclass, or
+        # a numpy scalar would be written as other text
+        rep = d.run_study(small_cfg(study, ns=(10,), reps=2, mechanisms=("trunc", "bit"), m=2))
+        kinds = (CovRow, CovSummary) if study == "cov" else (PropRow, PropSummary)
+        for rows, kind in zip((rep.replicates, rep.summary), kinds):
+            assert all(type(r) is kind for r in rows)
+            assert {type(v) for r in rows for v in r} <= {str, int, float}
 
     def test_newlines_are_lf_only(self, tmp_path):
         rep = d.run_study(small_cfg("cov", reps=2))
