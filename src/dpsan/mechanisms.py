@@ -10,7 +10,9 @@ any order without affecting each other.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,106 @@ __all__ = [
     "standard_normal_quantile",
 ]
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on uint32
+# words held as Python ints or as uint32 arrays: a 4-word pool, INIT_A and
+# MULT_A while mixing entropy in, INIT_B and MULT_B while drawing state out
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# streams hashed together in one vectorized step; a study cell has 1,000-1,500
+_BLOCK = 4096
+
+
+def _hashmix(value, h: int, mult: int = _MULT_A):
+    """One hashmix step: the mixed value and the next hash constant."""
+    h2 = h * mult & _M32
+    value = (value ^ h) * h2 & _M32
+    return value ^ value >> 16, h2
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y & _M32
+    return r ^ r >> 16
+
+
+def _int_words(n: int) -> list[int]:
+    """``n`` as little-endian uint32 words; 0 is one word, as in numpy."""
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _mix_in(pool: list, words, h: int) -> int:
+    """Mix each word into every pool word; returns the next hash constant."""
+    for w in words:
+        for i in range(4):
+            v, h = _hashmix(w, h)
+            pool[i] = _mix(pool[i], v)
+    return h
+
+
+@functools.lru_cache(maxsize=8)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """The pool and hash constant once ``seed`` is mixed in.
+
+    The seed's words, zero-padded to the pool size, fill the pool (numpy
+    pads them only when there is a spawn key, but with none it hashes zeros
+    into the rest of the pool, which comes to the same), then every pool
+    word mixes into every other.
+    """
+    h = _INIT_A
+    pool = []
+    for w in (_int_words(seed) + [0, 0, 0])[:4]:
+        v, h = _hashmix(w, h)
+        pool.append(v)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    return tuple(pool), h
+
+
+def _state_rows(pool: list) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of each pool, one row of 4 words each."""
+    h = _INIT_B
+    out = []
+    for i in range(8):
+        v, h = _hashmix(pool[i % 4], h, _MULT_B)
+        out.append(v)
+    # pairs of little-endian uint32 words make each uint64, as in numpy
+    words = np.ascontiguousarray(np.array(out, dtype="<u4").T)
+    return words.view("<u8").astype(np.uint64, copy=False).reshape(-1, 4)
+
+
+@functools.cache
+def _state_words():
+    # imported here: numpy 2 loads numpy.random lazily, and loading it costs
+    # `import dpsan` 11-17 ms that the audits and moments never need
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        """Hands PCG64 the state words its SeedSequence would generate."""
+
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateWords
+
+
+def _check_extent(k) -> int:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < 2**32:
+        raise ValueError(f"grid extents must be integers in [0, 2**32), got {k!r}")
+    return int(k)
+
+
 @dataclass(frozen=True)
 class RandomStream:
     """Deterministic, splittable source of randomness.
@@ -34,6 +136,11 @@ class RandomStream:
     distinct ids yield statistically independent sequences. Simulation code
     derives one child stream per cell and replicate, so results do not
     depend on execution order.
+
+    The generators are numpy's PCG64 seeded as by
+    ``SeedSequence(seed, spawn_key=ids)``, but their seed sequence cannot
+    spawn: ``Generator.spawn`` raises ``TypeError``. Derive substreams with
+    :meth:`child` instead.
 
     Note that :meth:`generator` always starts at the beginning of the
     stream. To share draw state across several mechanism calls, create the
@@ -59,7 +166,39 @@ class RandomStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh numpy Generator positioned at the start of this stream."""
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.ids))
+        return next(self.generators())
+
+    def generators(self, *shape: int) -> Iterator[np.random.Generator]:
+        """Generators of the child streams ``ids + idx``, one per grid index.
+
+        ``idx`` runs over the product of ``range(k)`` for each extent ``k``
+        in ``shape``, in C order, so the result equals
+        ``(self.child(*idx).generator() for idx in product(...))``. The
+        seed and ids are hashed once, the grid indices of up to 4,096
+        streams at a time in one vectorized step, and each Generator is
+        built only when it is asked for.
+
+        Raises:
+            ValueError: if an extent is not an integer in ``[0, 2**32)``.
+        """
+        shape = tuple(_check_extent(k) for k in shape)
+        pool, h = _seed_pool(self.seed)
+        pool = list(pool)
+        h = _mix_in(pool, [w for i in self.ids for w in _int_words(i)], h)
+        return _generators(pool, h, shape)
+
+
+def _generators(pool: list[int], h: int, shape: tuple[int, ...]) -> Iterator[np.random.Generator]:
+    generator, pcg64, state_words = np.random.Generator, np.random.PCG64, _state_words()
+    total = math.prod(shape)
+    for lo in range(0, total, _BLOCK):
+        block = pool
+        if shape:
+            idx = np.unravel_index(np.arange(lo, min(lo + _BLOCK, total)), shape)
+            block = [np.full(1, w, dtype=np.uint32) for w in pool]
+            _mix_in(block, (i.astype(np.uint32) for i in idx), h)
+        for row in _state_rows(block):
+            yield generator(pcg64(state_words(row)))
 
 
 def _as_generator(rng) -> np.random.Generator:

@@ -206,9 +206,11 @@ def _run_cov(config: SimConfig) -> SimReport:
         S, bounds = COV_SPECS[spec_id]
         for ie, eps in enumerate(config.eps):
             for n in config.ns:
-                for im, mech in enumerate(config.mechanisms):
-                    for rep in range(config.reps):
-                        g = root.child(domain, spec_id, ie, n, im, rep).generator()
+                # stream (domain, spec_id, ie, n, im, rep) for mechanism im
+                streams = root.child(domain, spec_id, ie, n).generators(
+                    len(config.mechanisms), config.reps)
+                for mech in config.mechanisms:
+                    for rep, g in zip(range(config.reps), streams):
                         out = sanitize_covariance(S, n, bounds, eps, mech, g)
                         for stat, original, sanitized in (
                             ("s11", S.s11, out.s11),
@@ -238,15 +240,17 @@ def _run_prop_like(config: SimConfig, release) -> SimReport:
     for ie, eps in enumerate(config.eps):
         for n in config.ns:
             cell = (config.study, 1, n, eps)
+            # stream (domain, ie, n, rep, 0) draws the data, (..., rep, 1 + im)
+            # mechanism im's noise
+            streams = root.child(domain, ie, n).generators(config.reps, 1 + len(config.mechanisms))
             for rep in range(config.reps):
-                data_g = root.child(domain, ie, n, rep, 0).generator()
+                data_g = next(streams)
                 counts = [int(c) for c in data_g.multinomial(n, PROP_TRUTH)]
                 phat = [c / n for c in counts]
                 base_cis = [wald_ci(p, n) for p in phat]
                 rows += _prop_rows(cell, "original", rep, phat, phat,
                                    [_coverage(ci, t) for ci, t in zip(base_cis, PROP_TRUTH)])
-                for im, mech in enumerate(config.mechanisms):
-                    g = root.child(domain, ie, n, rep, 1 + im).generator()
+                for mech, g in zip(config.mechanisms, streams):
                     try:
                         estimates, cis = release(counts, n, eps, mech, g)
                         cps = [_coverage(ci, t) for ci, t in zip(cis, PROP_TRUTH)]

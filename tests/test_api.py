@@ -1,6 +1,9 @@
 """The public API: what ``dpsan`` exports, and the benchmark's hooks into it."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dpsan
@@ -65,3 +68,13 @@ def test_benchmark_tracer_counts_study_rows(tmp_path):
     assert rep_rows == 2 * 3 * 4  # reps x (baseline + 2 mechanisms) x categories
     assert t.counts["summarize.rows"] == rep_rows
     assert t.counts["write_csv.rows"] == rep_rows + sum_rows
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy 2 loads numpy.random lazily, at a cost of 11-17 ms; only drawing
+    # from a stream needs it, not importing dpsan or its CLI
+    code = "import sys, dpsan, dpsan.cli; print('numpy.random' in sys.modules)"
+    src = Path(dpsan.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"

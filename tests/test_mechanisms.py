@@ -1,9 +1,12 @@
 """Mechanism tests: streams, densities, samplers, and the normal quantile."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 import dpsan as d
@@ -33,6 +36,99 @@ class TestRandomStream:
     def test_rejects_invalid_identity(self, seed, ids):
         with pytest.raises(ValueError):
             d.RandomStream(seed, ids)
+
+    # numpy's own derivation is the oracle for every stream
+    @pytest.mark.parametrize("shape", [(), (0,), (1,), (7,), (2, 5)])
+    @pytest.mark.parametrize("ids", [(), (0,), (1, 0, 50), (2**32,), (2**64 + 5, 7)])
+    @pytest.mark.parametrize("seed", [0, 2, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_generators_match_seed_sequence(self, seed, ids, shape):
+        # shape () checks generator(), the single stream
+        stream = d.RandomStream(seed, ids)
+        gens = list(stream.generators(*shape)) if shape else [stream.generator()]
+        grid = list(itertools.product(*map(range, shape)))
+        assert len(gens) == len(grid)
+        for g, idx in zip(gens, grid):
+            expected = seed_sequence_rng(seed, ids + idx)
+            assert g.bit_generator.state == expected.bit_generator.state
+            assert np.array_equal(g.random(3), expected.random(3))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), ids=st.lists(st.integers(0, 2**70), max_size=6),
+           shape=st.lists(st.integers(0, 3), max_size=2))
+    def test_generators_match_seed_sequence_property(self, seed, ids, shape):
+        stream = d.RandomStream(seed, ids)
+        ids = tuple(ids)
+        assert stream.generator().bit_generator.state == seed_sequence_rng(seed, ids).bit_generator.state
+        for g, idx in zip(stream.generators(*shape), itertools.product(*map(range, shape)), strict=True):
+            assert g.bit_generator.state == seed_sequence_rng(seed, ids + idx).bit_generator.state
+
+    def test_acceptance_study_streams_match_seed_sequence(self):
+        # every stream the three acceptance studies draw from at seed 2
+        checked = 0
+        for config in ACCEPTANCE_CONFIGS:
+            for ids, shape in study_cells(config):
+                for g, idx in zip(d.RandomStream(config.seed, ids).generators(*shape),
+                                  itertools.product(*map(range, shape)), strict=True):
+                    spawn_key = ids + idx
+                    expected = np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=spawn_key))
+                    assert g.bit_generator.state == expected.state, spawn_key
+                    checked += 1
+        assert checked == 10_000 + 27_000 + 6_000
+
+    def test_generators_across_hash_blocks(self, monkeypatch):
+        # a grid larger than one vectorized block continues where it left off
+        monkeypatch.setattr(d.mechanisms, "_BLOCK", 3)
+        for g, idx in zip(d.RandomStream(9, (4,)).generators(2, 5), itertools.product(range(2), range(5)),
+                          strict=True):
+            assert g.bit_generator.state == seed_sequence_rng(9, (4,) + idx).bit_generator.state
+
+    @pytest.mark.parametrize("extent", [-1, True, 2.0, "3", None, 2**32])
+    def test_generators_reject_invalid_extent(self, extent):
+        with pytest.raises(ValueError):
+            d.RandomStream(1).generators(2, extent)
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4)])
+    def test_zero_extent_yields_nothing(self, shape):
+        assert list(d.RandomStream(1, (5,)).generators(*shape)) == []
+
+    def test_generators_accept_numpy_extents(self):
+        a = [g.random() for g in d.RandomStream(4).generators(np.int64(2), np.uint8(3))]
+        assert a == [g.random() for g in d.RandomStream(4).generators(2, 3)]
+
+    def test_generators_cannot_spawn(self):
+        # child() derives substreams; the state words behind a stream's
+        # generator are not a spawnable SeedSequence
+        with pytest.raises(TypeError, match="does not implement spawning"):
+            d.RandomStream(1, (2,)).generator().spawn(1)
+        with pytest.raises(TypeError, match="does not implement spawning"):
+            next(d.RandomStream(1).generators(3)).spawn(1)
+
+
+def seed_sequence_rng(seed, spawn_key):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
+
+
+ACCEPTANCE_CONFIGS = (
+    d.SimConfig("cov", specs=(1, 3), reps=500, seed=2),
+    d.SimConfig("prop", reps=500, seed=2),
+    d.SimConfig("prop-ms", eps=(0.1,), mechanisms=("trunc",), m=5, reps=500, seed=2),
+)
+
+
+def study_cells(config):
+    """(cell stream ids, replicate grid) per study cell, as the study runners derive them.
+
+    cov draws stream (1, spec, ie, n, im, rep) for mechanism im; prop and
+    prop-ms (domains 2 and 3) draw (domain, ie, n, rep, 0) for the data and
+    (domain, ie, n, rep, 1 + im) for mechanism im.
+    """
+    k = len(config.mechanisms)
+    if config.study == "cov":
+        return [((1, spec, ie, n), (k, config.reps))
+                for spec in config.specs for ie in range(len(config.eps)) for n in config.ns]
+    domain = {"prop": 2, "prop-ms": 3}[config.study]
+    return [((domain, ie, n), (config.reps, 1 + k))
+            for ie in range(len(config.eps)) for n in config.ns]
 
 
 class TestTruncDensity:
