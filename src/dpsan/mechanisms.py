@@ -231,13 +231,15 @@ def _check_support(s: float, c0: float, c1: float) -> None:
         raise ValueError(f"statistic {s} lies outside its bounds [{c0}, {c1}]")
 
 
-def _clamp(x: float, c0: float, c1: float) -> float:
-    """``float(np.clip(x, c0, c1))`` for one value, signed zeros and NaN alike."""
-    if x < c0:
-        x = c0
-    elif x > c1:
-        x = c1
-    return float(x)
+def _check_batch(s, lam, c0, c1) -> float:
+    """The samplers' checks over arrays of statistics and bounds that share
+    one scale; returns the scale as a float."""
+    lam = _as_scale(lam)
+    if not np.all(c0 < c1):
+        raise ValueError("bounds must satisfy c0 < c1")
+    if not np.all((c0 <= s) & (s <= c1)):
+        raise ValueError("a statistic lies outside its bounds")
+    return lam
 
 
 def _normalizer(d0, d1, lam: float):
@@ -304,6 +306,49 @@ def trunc_laplace_cdf(x, s: float, lam, c0: float, c1: float):
     return float(out) if xv.ndim == 0 else out
 
 
+def _tail(d: float, lam: float) -> float:
+    """Mass of Laplace(0, lam) below ``d <= 0``.
+
+    Written with math.exp, whose results differ from np.exp's on some
+    inputs; :func:`_tails` applies it over arrays.
+    """
+    return 0.5 * math.exp(d / lam) if d < 0.0 else 0.5
+
+
+def _tails(d, lam: float) -> np.ndarray:
+    """:func:`_tail` of each element of ``d``, computed once per distinct value.
+
+    A study cell's releases share few locations (at most n + 1 category
+    proportions), so the exponentials cost little next to the draws.
+    """
+    values, where = np.unique(d, return_inverse=True)
+    return np.array([_tail(v, lam) for v in values.tolist()])[where].reshape(np.shape(d))
+
+
+def _trunc_invert(u, s, lam, c0, c1):
+    """Truncated Laplace releases from uniforms ``u`` on [F(c0), F(c1)].
+
+    The Laplace(s, lam) quantile with one log per draw, s + lam log(2u)
+    below the median and s - lam log(2(1 - u)) above it, clipped to
+    ``[c0, c1]``. ``s``, ``c0`` and ``c1`` may be arrays shaped like ``u``.
+    """
+    low = u < 0.5
+    x = np.where(low, u, 1.0 - u)
+    x *= 2.0
+    # log only hits zero at the interval's own endpoints; the clip repairs
+    # the resulting infinities, so the warning is noise
+    with np.errstate(divide="ignore"):
+        np.log(x, out=x)
+    x *= np.where(low, lam, -lam)
+    x += s
+    return np.clip(x, c0, c1, out=x)
+
+
+def _bit_clamp(e, s, c0, c1):
+    """BIT releases from Laplace(0, lam) noise ``e``: s + e clamped to [c0, c1]."""
+    return np.clip(s + e, c0, c1)
+
+
 def trunc_laplace_sample(s: float, lam, c0: float, c1: float, rng, size=None):
     """Draw from the truncated Laplace release via CDF inversion.
 
@@ -316,31 +361,9 @@ def trunc_laplace_sample(s: float, lam, c0: float, c1: float, rng, size=None):
     lam = _as_scale(lam)
     _check_support(s, c0, c1)
     g = _as_generator(rng)
-    lo = 0.5 * math.exp(min(c0 - s, 0.0) / lam) if c0 < s else 0.5
-    hi = 1.0 - 0.5 * math.exp(min(s - c1, 0.0) / lam) if c1 > s else 0.5
-    u = g.uniform(lo, hi, size=size)
-    if size is None:
-        # one draw: branch and clamp in Python floats, but keep np.log,
-        # whose results differ from math.log's on some inputs
-        if u < 0.5:
-            t = 2.0 * u
-            x = s + lam * (float(np.log(t)) if t > 0.0 else -math.inf)
-        else:
-            t = 2.0 * (1.0 - u)
-            x = s - lam * (float(np.log(t)) if t > 0.0 else -math.inf)
-        return _clamp(x, c0, c1)
-    # the same inversion with one log per draw: s + lam log(2u) below the
-    # median, s - lam log(2(1 - u)) above it
-    low = u < 0.5
-    x = np.where(low, u, 1.0 - u)
-    x *= 2.0
-    # log only hits zero at the interval's own endpoints; the clip repairs
-    # the resulting infinities, so the warning is noise
-    with np.errstate(divide="ignore"):
-        np.log(x, out=x)
-    x *= np.where(low, lam, -lam)
-    x += s
-    return np.clip(x, c0, c1, out=x)
+    u = g.uniform(_tail(c0 - s, lam), 1.0 - _tail(s - c1, lam), size=size)
+    x = _trunc_invert(u, s, lam, c0, c1)
+    return x if size is not None else float(x)
 
 
 def bit_laplace_sample(s: float, lam, c0: float, c1: float, rng, size=None):
@@ -354,9 +377,8 @@ def bit_laplace_sample(s: float, lam, c0: float, c1: float, rng, size=None):
     lam = _as_scale(lam)
     _check_support(s, c0, c1)
     g = _as_generator(rng)
-    if size is None:
-        return _clamp(s + g.laplace(0.0, lam), c0, c1)
-    return np.clip(s + g.laplace(0.0, lam, size=size), c0, c1)
+    x = _bit_clamp(g.laplace(0.0, lam, size=size), s, c0, c1)
+    return x if size is not None else float(x)
 
 
 def bit_boundary_masses(s: float, lam, c0: float, c1: float) -> tuple[float, float]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "AttributeBounds",
     "gs_catalog",
@@ -99,12 +101,15 @@ def variance_output_bounds(n: int, bounds: AttributeBounds) -> tuple[float, floa
     return 0.0, n * bounds.width ** 2 / (4.0 * (n - 1.0))
 
 
-def covariance_output_bounds(s11: float, s22: float) -> tuple[float, float]:
-    """Cauchy-Schwarz range of a covariance given the two variances."""
-    s11, s22 = float(s11), float(s22)
-    if not (math.isfinite(s11) and math.isfinite(s22)):
+def covariance_output_bounds(s11, s22):
+    """Cauchy-Schwarz range of a covariance given the two variances.
+
+    Floats give a pair of floats; arrays of variances give a pair of arrays.
+    """
+    s11, s22 = np.asarray(s11, dtype=float), np.asarray(s22, dtype=float)
+    if not (np.isfinite(s11).all() and np.isfinite(s22).all()):
         raise ValueError(f"variances must be finite, got {s11}, {s22}")
-    if s11 < 0.0 or s22 < 0.0:
+    if (s11 < 0.0).any() or (s22 < 0.0).any():
         raise ValueError(f"variances must be nonnegative, got {s11}, {s22}")
-    r = math.sqrt(s11 * s22)
-    return -r, r
+    r = np.sqrt(s11 * s22)
+    return (-r, r) if r.ndim else (-float(r), float(r))

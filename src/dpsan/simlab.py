@@ -22,11 +22,10 @@ from .mechanisms import RandomStream
 from .pipelines import (
     MECHANISMS,
     CovMatrix2,
-    RenormalizationDegenerateError,
-    multiple_synthesis,
-    sanitize_covariance,
-    sanitize_proportions,
-    wald_ci,
+    _covariance_cell,
+    _proportions_cell,
+    _synthesis_cell,
+    _wald,
 )
 from .sensitivity import AttributeBounds
 
@@ -201,64 +200,57 @@ def _run_cov(config: SimConfig) -> SimReport:
     """
     root = RandomStream(config.seed)
     domain = _STUDIES["cov"].domain
+    stats = ("s11", "s22", "s12", "r")
     rows: list[CovRow] = []
     for spec_id in config.specs:
         S, bounds = COV_SPECS[spec_id]
+        originals = (S.s11, S.s22, S.s12, S.correlation)
         for ie, eps in enumerate(config.eps):
             for n in config.ns:
                 # stream (domain, spec_id, ie, n, im, rep) for mechanism im
                 streams = root.child(domain, spec_id, ie, n).generators(
                     len(config.mechanisms), config.reps)
                 for mech in config.mechanisms:
-                    for rep, g in zip(range(config.reps), streams):
-                        out = sanitize_covariance(S, n, bounds, eps, mech, g)
-                        for stat, original, sanitized in (
-                            ("s11", S.s11, out.s11),
-                            ("s22", S.s22, out.s22),
-                            ("s12", S.s12, out.s12),
-                            ("r", S.correlation, out.correlation),
-                        ):
-                            rows.append(CovRow("cov", spec_id, n, eps, mech, rep, stat, original, sanitized))
+                    columns = _covariance_cell(S, n, bounds, eps, mech,
+                                               [g for _, g in zip(range(config.reps), streams)])
+                    for rep, values in enumerate(zip(*(c.tolist() for c in columns))):
+                        rows += [CovRow("cov", spec_id, n, eps, mech, rep, stat, original, sanitized)
+                                 for stat, original, sanitized in zip(stats, originals, values)]
     return SimReport(study="cov", replicates=tuple(rows), summary=tuple(summarize(rows)))
 
 
-def _prop_rows(cell: tuple, mechanism: str, rep: int, phat, estimates, cps) -> list[PropRow]:
-    return [PropRow(*cell, mechanism, rep, f"p{k + 1}", phat[k], float(estimates[k]),
-                    k + 1, PROP_TRUTH[k], cps[k])
-            for k in range(4)]
-
-
-def _coverage(ci: tuple[float, float], truth: float) -> int:
-    return 1 if ci[0] <= truth <= ci[1] else 0
+def _coverage(estimate, lo, hi) -> list:
+    """Per replicate, whether each interval covers its category's truth:
+    ints 1 or 0, or four NaNs where the release was degenerate."""
+    truth = np.array(PROP_TRUTH)
+    covered = ((lo <= truth) & (truth <= hi)).astype(int).tolist()
+    nan4 = [math.nan] * 4
+    return [nan4 if math.isnan(e[0]) else c for e, c in zip(estimate.tolist(), covered)]
 
 
 def _run_prop_like(config: SimConfig, release) -> SimReport:
     root = RandomStream(config.seed)
     domain = _STUDIES[config.study].domain
+    arms = 1 + len(config.mechanisms)
+    cats = [(f"p{k + 1}", k + 1, t) for k, t in enumerate(PROP_TRUTH)]
     rows: list[PropRow] = []
-    nan4 = (math.nan,) * 4
     for ie, eps in enumerate(config.eps):
         for n in config.ns:
             cell = (config.study, 1, n, eps)
             # stream (domain, ie, n, rep, 0) draws the data, (..., rep, 1 + im)
             # mechanism im's noise
-            streams = root.child(domain, ie, n).generators(config.reps, 1 + len(config.mechanisms))
+            streams = list(root.child(domain, ie, n).generators(config.reps, arms))
+            phat = np.array([g.multinomial(n, PROP_TRUTH) for g in streams[::arms]]) / n
+            columns = [("original", phat, _coverage(phat, *_wald(phat, n)))]
+            for im, mech in enumerate(config.mechanisms):
+                estimate, lo, hi = release(phat, n, eps, mech, streams[1 + im::arms])
+                columns.append((mech, estimate, _coverage(estimate, lo, hi)))
+            phat = phat.tolist()
+            columns = [(mech, estimate.tolist(), cps) for mech, estimate, cps in columns]
             for rep in range(config.reps):
-                data_g = next(streams)
-                counts = [int(c) for c in data_g.multinomial(n, PROP_TRUTH)]
-                phat = [c / n for c in counts]
-                base_cis = [wald_ci(p, n) for p in phat]
-                rows += _prop_rows(cell, "original", rep, phat, phat,
-                                   [_coverage(ci, t) for ci, t in zip(base_cis, PROP_TRUTH)])
-                for mech, g in zip(config.mechanisms, streams):
-                    try:
-                        estimates, cis = release(counts, n, eps, mech, g)
-                        cps = [_coverage(ci, t) for ci, t in zip(cis, PROP_TRUTH)]
-                    except RenormalizationDegenerateError:
-                        # the replicate produced no release; keep the rows so
-                        # counts still match the config, but leave them blank
-                        estimates, cps = nan4, nan4
-                    rows += _prop_rows(cell, mech, rep, phat, estimates, cps)
+                for mech, estimate, cps in columns:
+                    rows += [PropRow(*cell, mech, rep, stat, phat[rep][k], estimate[rep][k], category, truth, cps[rep][k])
+                             for k, (stat, category, truth) in enumerate(cats)]
     return SimReport(study=config.study, replicates=tuple(rows), summary=tuple(summarize(rows)))
 
 
@@ -269,12 +261,7 @@ def _run_prop(config: SimConfig) -> SimReport:
     (mechanism column ``original``), with Wald interval coverage of the
     true proportions.
     """
-
-    def release(counts, n, eps, mech, g):
-        pv = sanitize_proportions(counts, eps, mech, g)
-        return pv.p, [wald_ci(p, n) for p in pv.p]
-
-    return _run_prop_like(config, release)
+    return _run_prop_like(config, _proportions_cell)
 
 
 def _run_prop_ms(config: SimConfig) -> SimReport:
@@ -284,9 +271,8 @@ def _run_prop_ms(config: SimConfig) -> SimReport:
     single release and its Wald interval.
     """
 
-    def release(counts, n, eps, mech, g):
-        bundle = multiple_synthesis(counts, eps, config.m, mech, g)
-        return bundle.estimate, bundle.ci
+    def release(phat, n, eps, mech, streams):
+        return _synthesis_cell(phat, n, eps, config.m, mech, streams)
 
     return _run_prop_like(config, release)
 
