@@ -345,8 +345,10 @@ def _trunc_invert(u, s, lam, c0, c1):
 
 
 def _bit_clamp(e, s, c0, c1):
-    """BIT releases from Laplace(0, lam) noise ``e``: s + e clamped to [c0, c1]."""
-    return np.clip(s + e, c0, c1)
+    """BIT releases from an array of Laplace(0, lam) noise ``e``: s + e
+    clamped to [c0, c1], computed in place in ``e``."""
+    e += s
+    return np.clip(e, c0, c1, out=e)
 
 
 def trunc_laplace_sample(s: float, lam, c0: float, c1: float, rng, size=None):
@@ -377,7 +379,7 @@ def bit_laplace_sample(s: float, lam, c0: float, c1: float, rng, size=None):
     lam = _as_scale(lam)
     _check_support(s, c0, c1)
     g = _as_generator(rng)
-    x = _bit_clamp(g.laplace(0.0, lam, size=size), s, c0, c1)
+    x = _bit_clamp(np.asarray(g.laplace(0.0, lam, size=size)), s, c0, c1)
     return x if size is not None else float(x)
 
 
