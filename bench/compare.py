@@ -14,7 +14,8 @@ file, the pairs the change won: ``values[i]`` of the two sides form pair
 ``i``, and a pair is won when the change is better in the direction
 ``BENCHMARK.json`` gives for the metric (ties count for neither side). A
 gain is claimable when the change wins at least 9 of 10 pairs and its
-median beats the parent's by more than ``q3 - q1``.
+median beats the parent's by more than ``q3 - q1``; the ``claim`` column
+says whether it is.
 """
 
 import json
@@ -41,6 +42,12 @@ def won(old: list, new: list, better: str) -> int:
     return sum(b < a if better == "lower" else b > a for a, b in zip(old, new))
 
 
+def claimable(wins: int, pairs: int, gap: float, q1: float, q3: float) -> bool:
+    """At least nine tenths of the pairs won, and a median gain (``gap``, in
+    the better direction) wider than the old side's quartile spread."""
+    return 10 * wins >= 9 * pairs and gap > q3 - q1
+
+
 def main(argv: list[str]) -> int:
     if len(argv) not in (1, 2):
         print(__doc__, file=sys.stderr)
@@ -51,17 +58,21 @@ def main(argv: list[str]) -> int:
         old, new = load(argv[0], "change"), load(argv[1], "change")
     better = directions()
     print(f"{'workload':<10} {'metric':<42} {'old':>12} {'new':>12} {'delta':>9} "
-          f"{'old q1':>12} {'old q3':>12} {'won':>6}  unit")
+          f"{'old q1':>12} {'old q3':>12} {'won':>6} {'claim':>5}  unit")
     for workload in sorted(old.keys() & new.keys()):
         for name in sorted(old[workload].keys() & new[workload].keys()):
             a, b = old[workload][name], new[workload][name]
             delta = f"{100.0 * (b['median'] - a['median']) / abs(a['median']):+8.1f}%" if a["median"] else "      n/a"
             q1, _, q3 = (statistics.quantiles(a["values"], n=4, method="inclusive")
                          if len(a["values"]) > 1 else [a["median"]] * 3)
-            pairs = (f"{won(a['values'], b['values'], better[name])}/{len(a['values'])}"
-                     if len(argv) == 1 and name in better else "n/a")
+            pairs, claim = "n/a", "n/a"
+            if len(argv) == 1 and name in better:
+                wins = won(a["values"], b["values"], better[name])
+                gap = a["median"] - b["median"] if better[name] == "lower" else b["median"] - a["median"]
+                pairs = f"{wins}/{len(a['values'])}"
+                claim = "yes" if claimable(wins, len(a["values"]), gap, q1, q3) else "no"
             print(f"{workload:<10} {name:<42} {a['median']:>12.6g} {b['median']:>12.6g} {delta} "
-                  f"{q1:>12.6g} {q3:>12.6g} {pairs:>6}  {b['unit']}")
+                  f"{q1:>12.6g} {q3:>12.6g} {pairs:>6} {claim:>5}  {b['unit']}")
     return 0
 
 

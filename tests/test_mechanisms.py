@@ -194,6 +194,13 @@ class TestTruncSampler:
         res = stats.kstest(draws, lambda x: d.trunc_laplace_cdf(x, 0.2, 0.5, 0.0, 1.0))
         assert res.pvalue > 0.01
 
+    @pytest.mark.parametrize("lam", [1e8, 1e12, pytest.param(1e15, marks=pytest.mark.xfail(
+        strict=True, reason="at lam = 1e15 the inversion leaves 7 distinct values (ROADMAP item 4(a))"))])
+    def test_ks_at_huge_scale(self, lam):
+        draws = d.trunc_laplace_sample(0.2, lam, 0.0, 1.0, d.RandomStream(29), size=200_000)
+        res = stats.kstest(draws, lambda x: d.trunc_laplace_cdf(x, 0.2, lam, 0.0, 1.0))
+        assert res.pvalue > 0.01
+
     def test_agrees_with_rejection_oracle(self):
         ours = d.trunc_laplace_sample(-1.3, 2.7, -4.0, 2.5, d.RandomStream(24), size=50_000)
         reference = rejection_trunc_sample(-1.3, 2.7, -4.0, 2.5, d.RandomStream(25).generator(), 50_000)

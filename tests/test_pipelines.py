@@ -287,3 +287,82 @@ class TestBudgetCheckedWithoutLedger:
     def test_multiple_synthesis(self, epsilon):
         with pytest.raises(ValueError):
             d.multiple_synthesis(self.COUNTS, epsilon, 3, "trunc", d.RandomStream(33))
+
+
+SAMPLERS = {"trunc": d.trunc_laplace_sample, "bit": d.bit_laplace_sample}
+
+
+def replayed_draws(g, counts, shares, mechanism):
+    """Draws that proportion releases of ``counts``, one per share, take in
+    turn: each attempt is replayed on ``g`` with the public sampler, and the
+    run stops at a release that comes back all zero twice."""
+    n = sum(counts)
+    taken = 0
+    for share in shares:
+        for _attempt in range(2):
+            taken += 4
+            if math.fsum(SAMPLERS[mechanism](c / n, (1.0 / n) / share, 0.0, 1.0, g) for c in counts) > 0.0:
+                break
+        else:
+            break
+    return taken
+
+
+@pytest.mark.parametrize("mechanism", ["trunc", "bit"])
+class TestDrawsTaken:
+    """A release advances a shared generator by exactly the draws its
+    docstring gives: its next draw is that of a twin advanced by as many."""
+
+    COUNTS = (10, 20, 30, 40)
+
+    @staticmethod
+    def next_after(seed, k):
+        twin = d.RandomStream(seed).generator()
+        twin.random(k)
+        return twin.random()
+
+    def test_proportions(self, mechanism):
+        # at epsilon 0.002 a bit release of n = 100 comes back all zero
+        # about one time in twenty and is drawn again
+        seen = set()
+        for seed in range(150):
+            k = replayed_draws(d.RandomStream(seed).generator(), self.COUNTS, [0.002], mechanism)
+            g = d.RandomStream(seed).generator()
+            try:
+                d.sanitize_proportions(self.COUNTS, 0.002, mechanism, g)
+            except d.RenormalizationDegenerateError:
+                assert k == 8
+            assert g.random() == self.next_after(seed, k)
+            seen.add(k)
+        assert seen == ({4} if mechanism == "trunc" else {4, 8})
+
+    def test_multiple_synthesis(self, mechanism):
+        # at a vanishing budget a bit release comes back all zero one time in
+        # sixteen, twice in a row one time in 256, and the bundle stops there
+        shares = d.allocate_equal(1e-4, 10)
+        seen, raised = set(), 0
+        for seed in range(200):
+            k = replayed_draws(d.RandomStream(seed).generator(), self.COUNTS, shares, mechanism)
+            g = d.RandomStream(seed).generator()
+            try:
+                d.multiple_synthesis(self.COUNTS, 1e-4, 10, mechanism, g)
+            except d.RenormalizationDegenerateError:
+                raised += 1
+            assert g.random() == self.next_after(seed, k)
+            seen.add(k)
+        if mechanism == "trunc":
+            assert seen == {40} and not raised
+        else:
+            assert len(seen) > 5 and raised
+
+    def test_covariance(self, mechanism):
+        # s11, s22 and s12, or no s12 once a sanitized variance is zero
+        S = d.CovMatrix2(1.0, 1.0, 0.0)
+        seen = set()
+        for seed in range(100):
+            g = d.RandomStream(seed).generator()
+            out = d.sanitize_covariance(S, 20, (B3, B3), 1.0, mechanism, g)
+            k = 3 if math.sqrt(out.s11 * out.s22) > 0.0 else 2
+            assert g.random() == self.next_after(seed, k)
+            seen.add(k)
+        assert seen == ({3} if mechanism == "trunc" else {2, 3})

@@ -180,6 +180,80 @@ class TestPropStudies:
         assert all(math.isnan(r.cp) for r in nan_rows)
 
 
+def same_bits(a, b) -> bool:
+    """Equal floats, told apart by sign of zero; any NaN equals any NaN."""
+    return float.hex(a) == float.hex(b)
+
+
+class TestRowsMatchPublicReleases:
+    """Each study row equals, bit for bit, what the public per-release
+    functions give on that replicate's own stream."""
+
+    def test_cov(self):
+        cfg = d.SimConfig("cov", specs=(1, 2), ns=(20,), mechanisms=("trunc", "bit"), reps=40, seed=5)
+        rows = d.run_study(cfg).replicates
+        domain = d.simlab._STUDIES["cov"].domain
+        releases = {}
+        for r in rows:
+            releases.setdefault((r.spec, r.mechanism, r.rep), []).append(r.sanitized)
+        # at n = 20 a bit release of s11 or s22 is zero four times in ten
+        collapsed = [key for key, v in releases.items() if math.isnan(v[3])]
+        assert collapsed and all(k[1] == "bit" for k in collapsed)
+        picked = [(s, m, r) for s in cfg.specs for m in cfg.mechanisms for r in (0, 1, cfg.reps - 1)]
+        for spec, mech, rep in sorted(collapsed)[:3] + picked:
+            S, bounds = d.COV_SPECS[spec]
+            g = d.RandomStream(cfg.seed, (domain, spec, 0, 20, cfg.mechanisms.index(mech), rep)).generator()
+            out = d.sanitize_covariance(S, 20, bounds, 1.0, mech, g)
+            want = (out.s11, out.s22, out.s12, out.correlation)
+            assert all(map(same_bits, releases[spec, mech, rep], want))
+
+    @pytest.mark.parametrize("study,kw,degenerate", [
+        # at a vanishing budget a bit release is all zero twice in a row
+        # about once per 256 replicates; these 400 hold three
+        ("prop", dict(ns=(40,), eps=(1.0, 0.001), mechanisms=("trunc", "bit"), reps=400, seed=1), 3),
+        # retried releases and two degenerate bundles of ten sets
+        ("prop-ms", dict(ns=(50,), eps=(0.01,), mechanisms=("bit",), m=10, reps=100, seed=2), 2),
+        ("prop-ms", dict(ns=(30, 60), eps=(0.5,), mechanisms=("trunc", "bit"), m=3, reps=20, seed=4), 0),
+    ])
+    def test_prop(self, study, kw, degenerate):
+        cfg = d.SimConfig(study, **kw)
+        rows = d.run_study(cfg).replicates
+        domain = d.simlab._STUDIES[study].domain
+        releases = {}
+        for r in rows:
+            releases.setdefault((r.eps, r.n, r.mechanism, r.rep), []).append(r)
+        blank = [key for key, v in releases.items() if math.isnan(v[0].sanitized)]
+        assert len(blank) == degenerate
+        for eps, n, mech, rep in blank + [(e, n, m, r) for e in cfg.eps for n in cfg.ns
+                                          for m in cfg.mechanisms for r in (0, 1, cfg.reps - 1)]:
+            ids = (domain, cfg.eps.index(eps), n, rep)
+            counts = d.RandomStream(cfg.seed, ids + (0,)).generator().multinomial(n, d.PROP_TRUTH)
+            g = d.RandomStream(cfg.seed, ids + (1 + cfg.mechanisms.index(mech),)).generator()
+            got = releases[eps, n, mech, rep]
+            baseline = releases[eps, n, "original", rep]
+            if (eps, n, mech, rep) in blank:
+                with pytest.raises(d.RenormalizationDegenerateError):
+                    if study == "prop":
+                        d.sanitize_proportions(counts, eps, mech, g)
+                    else:
+                        d.multiple_synthesis(counts, eps, cfg.m, mech, g)
+                assert all(math.isnan(r.sanitized) and math.isnan(r.cp) for r in got)
+                continue
+            if study == "prop":
+                estimate = d.sanitize_proportions(counts, eps, mech, g).p
+                cis = [d.wald_ci(p, n) for p in estimate]
+            else:
+                bundle = d.multiple_synthesis(counts, eps, cfg.m, mech, g)
+                estimate, cis = bundle.estimate, bundle.ci
+            for k, (row, base, truth) in enumerate(zip(got, baseline, d.PROP_TRUTH)):
+                phat = int(counts[k]) / n
+                lo, hi = d.wald_ci(phat, n)
+                assert same_bits(base.sanitized, phat) and same_bits(row.original, phat)
+                assert base.cp == int(lo <= truth <= hi)
+                assert same_bits(row.sanitized, estimate[k])
+                assert row.cp == int(cis[k][0] <= truth <= cis[k][1])
+
+
 class TestCsvOutput:
     def test_cov_csv_shape(self, tmp_path):
         rep = d.run_study(small_cfg("cov"))
@@ -257,3 +331,24 @@ def test_golden_csv_hashes(tmp_path):
         assert main(argv + ["--out", str(tmp_path)]) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
     assert got == GOLDEN_SHA256
+
+
+# The synthesis retry path, which none of the configs above reaches: at
+# epsilon 0.01, 57 of these bit releases are drawn again, and two bundles
+# of ten sets come back degenerate (8 NaN cells). Written to a directory of
+# their own, as their file names are those of the prop-ms config above.
+RETRY_ARGV = ["sim", "prop-ms", "--eps", "0.01", "--mech", "bit", "--m", "10", "--n", "50",
+              "--reps", "100", "--seed", "2"]
+RETRY_SHA256 = {
+    "prop-ms_replicates.csv": "4cb8f136de6a87a73d7e7b496e8995cfc8339fa990daec0d79642b6ffd53f617",
+    "prop-ms_summary.csv": "e175960ae9732c6aca0fd2169b71287f0df789dc9d3655db92c173e4472ca6ce",
+}
+
+
+def test_golden_retry_csv_hashes(tmp_path):
+    from dpsan.cli import main
+
+    out = tmp_path / "retry"
+    assert main(RETRY_ARGV + ["--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in RETRY_SHA256}
+    assert got == RETRY_SHA256
