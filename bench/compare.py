@@ -42,12 +42,6 @@ def won(old: list, new: list, better: str) -> int:
     return sum(b < a if better == "lower" else b > a for a, b in zip(old, new))
 
 
-def claimable(wins: int, pairs: int, gap: float, q1: float, q3: float) -> bool:
-    """At least nine tenths of the pairs won, and a median gain (``gap``, in
-    the better direction) wider than the old side's quartile spread."""
-    return 10 * wins >= 9 * pairs and gap > q3 - q1
-
-
 def main(argv: list[str]) -> int:
     if len(argv) not in (1, 2):
         print(__doc__, file=sys.stderr)
@@ -70,7 +64,7 @@ def main(argv: list[str]) -> int:
                 wins = won(a["values"], b["values"], better[name])
                 gap = a["median"] - b["median"] if better[name] == "lower" else b["median"] - a["median"]
                 pairs = f"{wins}/{len(a['values'])}"
-                claim = "yes" if claimable(wins, len(a["values"]), gap, q1, q3) else "no"
+                claim = "yes" if 10 * wins >= 9 * len(a["values"]) and gap > q3 - q1 else "no"
             print(f"{workload:<10} {name:<42} {a['median']:>12.6g} {b['median']:>12.6g} {delta} "
                   f"{q1:>12.6g} {q3:>12.6g} {pairs:>6} {claim:>5}  {b['unit']}")
     return 0
