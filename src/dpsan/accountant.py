@@ -104,10 +104,8 @@ class BudgetLedger:
     ledger is left unchanged. Re-spending within an existing parallel group
     is free up to the group's current maximum.
 
-    The ledger keeps its sequential spends and each parallel group's
-    maximum as it goes, so a spend is decided without recomposing every
-    entry. The total is the same ``fsum`` that :func:`compose` takes over
-    the same values, so it equals ``compose(entries())`` bit for bit.
+    Each spend is decided by :func:`compose` over the recorded entries and
+    the new one, so ``spent()`` equals ``compose(entries())`` bit for bit.
     """
 
     def __init__(self, total: float):
@@ -116,18 +114,11 @@ class BudgetLedger:
             raise ValueError(f"total budget must be finite and positive, got {total}")
         self.total = total
         self._entries: list[LedgerEntry] = []
-        self._sequential: list[float] = []
-        self._group_max: dict[str, float] = {}
         self._spent = 0.0
 
     def spend(self, label: str, epsilon: float, group: str | None = None) -> LedgerEntry:
         entry = LedgerEntry(label, epsilon, group)
-        sequential, group_max = self._sequential, self._group_max
-        if group is None:
-            would_spend = math.fsum(sequential + [entry.epsilon] + sorted(group_max.values()))
-        else:
-            grown = {**group_max, group: max(group_max.get(group, 0.0), entry.epsilon)}
-            would_spend = math.fsum(sequential + sorted(grown.values()))
+        would_spend = compose(self._entries + [entry])
         if would_spend > self.total:
             remaining = self.remaining()
             raise BudgetExceededError(
@@ -135,10 +126,6 @@ class BudgetLedger:
                 remaining,
             )
         self._entries.append(entry)
-        if group is None:
-            sequential.append(entry.epsilon)
-        else:
-            self._group_max = grown
         self._spent = would_spend
         return entry
 

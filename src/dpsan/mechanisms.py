@@ -121,8 +121,13 @@ def _state_words():
     return StateWords
 
 
+def _is_index(k) -> bool:
+    """Whether ``k`` is a nonnegative int or numpy integer (bools are not)."""
+    return not isinstance(k, bool) and isinstance(k, (int, np.integer)) and k >= 0
+
+
 def _check_extent(k) -> int:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < 2**32:
+    if not (_is_index(k) and k < 2**32):
         raise ValueError(f"grid extents must be integers in [0, 2**32), got {k!r}")
     return int(k)
 
@@ -155,10 +160,10 @@ class RandomStream:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in an unsigned 64-bit word, got {self.seed}")
-        ids = tuple(map(int, self.ids))
-        if ids and min(ids) < 0:
-            raise ValueError(f"stream ids must be nonnegative, got {ids}")
-        object.__setattr__(self, "ids", ids)
+        ids = tuple(self.ids)
+        if not all(map(_is_index, ids)):
+            raise ValueError(f"stream ids must be nonnegative integers, got {ids!r}")
+        object.__setattr__(self, "ids", tuple(map(int, ids)))
 
     def child(self, *ids: int) -> "RandomStream":
         """Derive an independent substream by extending the id tuple."""
@@ -206,9 +211,10 @@ def _as_generator(rng) -> np.random.Generator:
         return rng.generator()
     if isinstance(rng, np.random.Generator):
         return rng
-    # duck-typed stand-ins are accepted when they quack like a Generator;
-    # tests use one to script the draws a pipeline sees
-    if hasattr(rng, "laplace") and hasattr(rng, "uniform"):
+    # duck-typed stand-ins are accepted when they have the three draw
+    # methods the samplers and pipelines call; tests use one to script the
+    # draws a pipeline sees
+    if all(hasattr(rng, m) for m in ("random", "uniform", "laplace")):
         return rng
     raise TypeError(f"rng must be a RandomStream or numpy Generator, got {type(rng).__name__}")
 

@@ -67,13 +67,6 @@ def _trunc_bias_core(d0: float, d1: float, lam: float) -> float:
     return num / float(_normalizer(d0, d1, lam))
 
 
-def _trunc_bias(d0: float, d1: float, lam: float) -> float:
-    # reflection symmetry: swapping the two gap widths flips the sign
-    if d0 <= d1:
-        return _trunc_bias_core(d0, d1, lam)
-    return -_trunc_bias_core(d1, d0, lam)
-
-
 def _bit_bias_core(d0: float, d1: float, lam: float) -> float:
     """Mean shift of the BIT release, assuming d0 <= d1."""
     e0 = math.exp(-d0 / lam)
@@ -83,30 +76,44 @@ def _bit_bias_core(d0: float, d1: float, lam: float) -> float:
     return -0.5 * lam * e0 * math.expm1(u)
 
 
-def _bit_bias(d0: float, d1: float, lam: float) -> float:
-    if d0 <= d1:
-        return _bit_bias_core(d0, d1, lam)
-    return -_bit_bias_core(d1, d0, lam)
+def _reflected(core):
+    """``core``, a mean shift written for d0 <= d1, at any gap widths:
+    swapping the two widths reflects the release and flips the shift's sign."""
+    return lambda d0, d1, lam: core(d0, d1, lam) if d0 <= d1 else -core(d1, d0, lam)
 
 
-def _gaps(s: float, c0: float, c1: float) -> tuple[float, float]:
-    return float(s) - float(c0), float(c1) - float(s)
+_trunc_bias = _reflected(_trunc_bias_core)
+_bit_bias = _reflected(_bit_bias_core)
+
+
+def _checked(s, lam, c0, c1) -> tuple[float, float, float, float]:
+    """The validated statistic, its gaps d0 and d1 to the bounds, and the scale."""
+    lam = _as_scale(lam)
+    _check_support(s, c0, c1)
+    s = float(s)
+    return s, s - float(c0), float(c1) - s, lam
+
+
+def _trunc_second(s: float, d0: float, d1: float, lam: float) -> float:
+    ey2 = (_scaled_erlang_cdf3(d0, lam) + _scaled_erlang_cdf3(d1, lam)) / float(_normalizer(d0, d1, lam))
+    return ey2 + 2.0 * s * _trunc_bias(d0, d1, lam) + s * s
+
+
+def _bit_second(s: float, d0: float, d1: float, lam: float) -> float:
+    ey2 = _scaled_erlang_cdf2(d0, lam) + _scaled_erlang_cdf2(d1, lam)
+    return ey2 + 2.0 * s * _bit_bias(d0, d1, lam) + s * s
 
 
 def trunc_mean(s: float, lam, c0: float, c1: float) -> float:
     """Mean of the truncated Laplace release centered at ``s``."""
-    lam = _as_scale(lam)
-    _check_support(s, c0, c1)
-    d0, d1 = _gaps(s, c0, c1)
-    return float(s) + _trunc_bias(d0, d1, lam)
+    s, d0, d1, lam = _checked(s, lam, c0, c1)
+    return s + _trunc_bias(d0, d1, lam)
 
 
 def bit_mean(s: float, lam, c0: float, c1: float) -> float:
     """Mean of the BIT Laplace release centered at ``s``."""
-    lam = _as_scale(lam)
-    _check_support(s, c0, c1)
-    d0, d1 = _gaps(s, c0, c1)
-    return float(s) + _bit_bias(d0, d1, lam)
+    s, d0, d1, lam = _checked(s, lam, c0, c1)
+    return s + _bit_bias(d0, d1, lam)
 
 
 def trunc_second_moment(s: float, lam, c0: float, c1: float) -> float:
@@ -116,22 +123,12 @@ def trunc_second_moment(s: float, lam, c0: float, c1: float) -> float:
     reduce to Erlang CDF terms of the two gap widths, which decay to zero
     with the scale instead of cancelling.
     """
-    lam = _as_scale(lam)
-    _check_support(s, c0, c1)
-    s = float(s)
-    d0, d1 = _gaps(s, c0, c1)
-    ey2 = (_scaled_erlang_cdf3(d0, lam) + _scaled_erlang_cdf3(d1, lam)) / float(_normalizer(d0, d1, lam))
-    return ey2 + 2.0 * s * _trunc_bias(d0, d1, lam) + s * s
+    return _trunc_second(*_checked(s, lam, c0, c1))
 
 
 def bit_second_moment(s: float, lam, c0: float, c1: float) -> float:
     """Second raw moment of the BIT Laplace release."""
-    lam = _as_scale(lam)
-    _check_support(s, c0, c1)
-    s = float(s)
-    d0, d1 = _gaps(s, c0, c1)
-    ey2 = _scaled_erlang_cdf2(d0, lam) + _scaled_erlang_cdf2(d1, lam)
-    return ey2 + 2.0 * s * _bit_bias(d0, d1, lam) + s * s
+    return _bit_second(*_checked(s, lam, c0, c1))
 
 
 @dataclass(frozen=True)
@@ -161,17 +158,14 @@ def bias_order_check(s: float, lam, c0: float, c1: float, atol: float = 1e-12) -
     property check; ``atol`` absorbs roundoff at the symmetric point where
     both biases vanish.
     """
-    lam = _as_scale(lam)
-    _check_support(s, c0, c1)
-    s = float(s)
-    d0, d1 = _gaps(s, c0, c1)
+    s, d0, d1, lam = _checked(s, lam, c0, c1)
     bt = _trunc_bias(d0, d1, lam)
     bb = _bit_bias(d0, d1, lam)
     report = MomentReport(
         trunc_mean=s + bt,
         bit_mean=s + bb,
-        trunc_second_moment=trunc_second_moment(s, lam, c0, c1),
-        bit_second_moment=bit_second_moment(s, lam, c0, c1),
+        trunc_second_moment=_trunc_second(s, d0, d1, lam),
+        bit_second_moment=_bit_second(s, d0, d1, lam),
         trunc_bias=bt,
         bit_bias=bb,
         tails_underflowed=math.exp(-d0 / lam) == 0.0 and math.exp(-d1 / lam) == 0.0,

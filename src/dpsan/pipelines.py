@@ -8,9 +8,9 @@ optionally repeated as multiple synthetic releases that are combined with a
 between/within variance estimate.
 
 Every release runs as array arithmetic over a batch of releases, one row
-each, that take their randomness from a draw source: a caller's generator,
-drawn from as the release asks (the public functions, one row), or a study
-cell's replicate streams, each drawn from once up front (``_CellDraws``).
+each, and release i draws from generator i only as it asks (``_Draws``):
+the public functions release one row from the caller's generator, a study
+cell one row per replicate stream.
 """
 
 from __future__ import annotations
@@ -50,12 +50,6 @@ __all__ = [
 ]
 
 
-# Draws one release may take: four categories, each drawn at most twice
-# (one retry); a covariance release draws s11, s22 and s12 once each.
-_PROPORTION_DRAWS = 8
-_COVARIANCE_DRAWS = 3
-
-
 class RenormalizationDegenerateError(RuntimeError):
     """All sanitized category draws were zero twice in a row, so the
     proportion vector cannot be renormalized."""
@@ -67,54 +61,28 @@ def _degenerate(n: int, epsilon: float, mechanism: str) -> RenormalizationDegene
     )
 
 
-class _GeneratorDraws:
-    """One release's draws from a caller's generator, taken as it asks.
+class _Draws:
+    """The draws of a batch of releases: release i's from ``generators[i]``.
 
-    Each draw is one ``uniform`` or ``laplace`` draw in release order, so a
-    shared generator advances by exactly the draws the release used.
+    A release draws from its own generator only when it asks, so each
+    generator advances by exactly the draws its release used: uniforms for
+    ``trunc``, Laplace draws for ``bit``.
     """
 
-    rows = np.zeros(1, dtype=np.intp)
-
-    def __init__(self, rng) -> None:
-        self.g = _as_generator(rng)
-
-    def uniform(self, rows, lo, hi):
-        return self.g.uniform(lo, hi)
-
-    def laplace(self, rows, lam, shape):
-        return np.array([self.g.laplace(0.0, lam) for _ in range(math.prod(shape))]).reshape(shape)
-
-
-class _CellDraws:
-    """A study cell's draws: each release's, taken up front in one call on its own stream.
-
-    Row i holds the ``k`` draws release i may take, in the order it takes
-    them: uniforms on [0, 1) for ``trunc``, unit Laplace draws for ``bit``.
-    A stream serves only its own release, so draws left unused change
-    nothing.
-    """
-
-    def __init__(self, mechanism: str, streams, k: int) -> None:
-        if mechanism == "trunc":
-            self.raw = np.array([g.random(k) for g in streams])
-        else:
-            self.raw = np.array([g.laplace(0.0, 1.0, k) for g in streams])
-        self.rows = np.arange(len(self.raw))
-        self.taken = np.zeros(len(self.raw), dtype=np.intp)
-
-    def _next(self, rows, k: int):
-        cols = self.taken[rows, None] + np.arange(k)
-        self.taken[rows] += k
-        return self.raw[rows[:, None], cols]
+    def __init__(self, generators) -> None:
+        self.generators = list(generators)
+        self.rows = np.arange(len(self.generators))
 
     def uniform(self, rows, lo, hi):
         # Generator.uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit
-        return lo + (hi - lo) * self._next(rows, lo.shape[-1])
+        k = lo.shape[-1]
+        u = [self.generators[i].random(k) for i in rows.tolist()]
+        return lo + (hi - lo) * np.reshape(u, (rows.size, k))
 
-    def laplace(self, rows, lam, shape):
+    def laplace(self, rows, lam, k):
         # and Generator.laplace(0, lam) is lam times laplace(0, 1)
-        return self._next(rows, shape[-1]) * lam
+        e = [self.generators[i].laplace(0.0, 1.0, k) for i in rows.tolist()]
+        return np.reshape(e, (rows.size, k)) * lam
 
 
 def _sample_trunc(draws, rows, s, lam, c0, c1):
@@ -125,7 +93,7 @@ def _sample_trunc(draws, rows, s, lam, c0, c1):
 
 def _sample_bit(draws, rows, s, lam, c0, c1):
     lam = _check_batch(s, lam, c0, c1)
-    return _bit_clamp(draws.laplace(rows, lam, s.shape), s, c0, c1)
+    return _bit_clamp(draws.laplace(rows, lam, s.shape[-1]), s, c0, c1)
 
 
 # Each mechanism releases a batch: row i of ``s`` holds the statistics of
@@ -283,7 +251,7 @@ def sanitize_covariance(S: CovMatrix2, n: int, bounds, epsilon: float, mechanism
             total ``epsilon`` exactly, and refuses them if it cannot cover
             them. Without one nothing is recorded.
     """
-    s11, s22, s12 = _covariance_releases(S, n, bounds, epsilon, mechanism, _GeneratorDraws(rng), ledger)
+    s11, s22, s12 = _covariance_releases(S, n, bounds, epsilon, mechanism, _Draws([_as_generator(rng)]), ledger)
     return CovMatrix2(s11[0], s22[0], s12[0])
 
 
@@ -341,7 +309,7 @@ def sanitize_proportions(counts, epsilon: float, mechanism: str, rng, ledger: Bu
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"privacy budget must be finite and positive, got {epsilon}")
     _sampler(mechanism)  # an unknown name fails before any spend or draw
-    draws = _GeneratorDraws(rng)
+    draws = _Draws([_as_generator(rng)])
     if ledger is not None:
         for k in range(4):
             ledger.spend(f"p{k + 1}", epsilon, group="categories")
@@ -432,7 +400,7 @@ def multiple_synthesis(counts, epsilon: float, m: int, mechanism: str, rng, leve
         raise ValueError(f"release count must be a positive integer, got {m!r}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie strictly between 0 and 1, got {level}")
-    draws = _GeneratorDraws(rng)
+    draws = _Draws([_as_generator(rng)])
     shares = allocate_equal(epsilon, m)
     phat, n = _proportions_of(counts)
     _sampler(mechanism)
@@ -455,15 +423,14 @@ def multiple_synthesis(counts, epsilon: float, m: int, mechanism: str, rng, leve
 
 def _covariance_cell(S, n, bounds, epsilon, mechanism, streams):
     """s11, s22, s12 and r of one release of ``S`` per stream."""
-    draws = _CellDraws(mechanism, streams, _COVARIANCE_DRAWS)
-    s11, s22, s12 = _covariance_releases(S, n, bounds, epsilon, mechanism, draws)
+    s11, s22, s12 = _covariance_releases(S, n, bounds, epsilon, mechanism, _Draws(streams))
     return s11, s22, s12, _correlation(s11, s22, s12)
 
 
 def _proportions_cell(phat, n, epsilon, mechanism, streams, level=0.95):
     """Released proportions of each row of ``phat`` (one stream each) and
     their Wald interval bounds; a degenerate release's row is NaN."""
-    draws = _CellDraws(mechanism, streams, _PROPORTION_DRAWS)
+    draws = _Draws(streams)
     p = _renormalized(phat, n, epsilon, mechanism, draws, draws.rows)
     return (p, *_wald(p, n, level))
 
@@ -471,7 +438,6 @@ def _proportions_cell(phat, n, epsilon, mechanism, streams, level=0.95):
 def _synthesis_cell(phat, n, epsilon, m, mechanism, streams, level=0.95):
     """Combined estimates of an m-set synthesis of each row of ``phat`` (one
     stream each) and their interval bounds; a degenerate bundle's row is NaN."""
-    draws = _CellDraws(mechanism, streams, _PROPORTION_DRAWS * m)
-    sets = _synthesize(phat, n, allocate_equal(epsilon, m), mechanism, draws)
+    sets = _synthesize(phat, n, allocate_equal(epsilon, m), mechanism, _Draws(streams))
     pbar, _, interval = _combine(sets, n, level)
     return (pbar, *interval)

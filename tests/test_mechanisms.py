@@ -32,7 +32,8 @@ class TestRandomStream:
         s = d.RandomStream(3)
         assert s.generator().normal() == s.generator().normal()
 
-    @pytest.mark.parametrize("seed,ids", [(-1, ()), (2**64, ()), (1, (-3,)), (1.5, ())])
+    @pytest.mark.parametrize("seed,ids", [(-1, ()), (2**64, ()), (1, (-3,)), (1.5, ()),
+                                         (1, (1.5,)), (1, (True,)), (1, ("3",))])
     def test_rejects_invalid_identity(self, seed, ids):
         with pytest.raises(ValueError):
             d.RandomStream(seed, ids)

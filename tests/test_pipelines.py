@@ -6,23 +6,32 @@ import numpy as np
 import pytest
 
 import dpsan as d
+from dpsan.pipelines import _covariance_cell, _proportions_cell, _synthesis_cell
 
 B3 = d.AttributeBounds(-3.0, 3.0)
 B45 = d.AttributeBounds(-4.5, 4.5)
 
 
 class _ScriptedRng:
-    """Duck-typed generator whose laplace draws follow a fixed script."""
+    """Duck-typed generator whose standard draws follow a fixed script: each
+    draw takes the next script value and is scaled as a Generator scales it."""
 
     def __init__(self, script):
         self._script = list(script)
 
-    def laplace(self, loc, scale, size=None):
-        assert size is None
-        return self._script.pop(0)
+    def _next(self, size):
+        if size is None:
+            return self._script.pop(0)
+        return np.array([self._script.pop(0) for _ in range(size)])
 
-    def uniform(self, low, high, size=None):  # pragma: no cover - unused here
-        return low
+    def random(self, size=None):
+        return self._next(size)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return low + (high - low) * self._next(size)
+
+    def laplace(self, loc=0.0, scale=1.0, size=None):
+        return loc + scale * self._next(size)
 
 
 class TestCovMatrix2:
@@ -363,6 +372,54 @@ class TestDrawsTaken:
             g = d.RandomStream(seed).generator()
             out = d.sanitize_covariance(S, 20, (B3, B3), 1.0, mechanism, g)
             k = 3 if math.sqrt(out.s11 * out.s22) > 0.0 else 2
+            assert g.random() == self.next_after(seed, k)
+            seen.add(k)
+        assert seen == ({3} if mechanism == "trunc" else {2, 3})
+
+    # the study cells: one release per stream, each stream advanced by
+    # exactly the draws of its own release
+
+    @staticmethod
+    def streams(seeds):
+        return [d.RandomStream(seed).generator() for seed in seeds]
+
+    def test_proportions_cell(self, mechanism):
+        seeds = range(150)
+        n = sum(self.COUNTS)
+        streams = self.streams(seeds)
+        p, _, _ = _proportions_cell(np.tile(np.divide(self.COUNTS, n), (len(seeds), 1)), n, 0.002, mechanism, streams)
+        seen = set()
+        for seed, g, row in zip(seeds, streams, p):
+            k = replayed_draws(d.RandomStream(seed).generator(), self.COUNTS, [0.002], mechanism)
+            if math.isnan(row[0]):
+                assert k == 8
+            assert g.random() == self.next_after(seed, k)
+            seen.add(k)
+        assert seen == ({4} if mechanism == "trunc" else {4, 8})
+
+    def test_synthesis_cell(self, mechanism):
+        seeds = range(200)
+        n = sum(self.COUNTS)
+        shares = d.allocate_equal(1e-4, 10)
+        streams = self.streams(seeds)
+        pbar, _, _ = _synthesis_cell(np.tile(np.divide(self.COUNTS, n), (len(seeds), 1)), n, 1e-4, 10, mechanism, streams)
+        seen = set()
+        for seed, g in zip(seeds, streams):
+            k = replayed_draws(d.RandomStream(seed).generator(), self.COUNTS, shares, mechanism)
+            assert g.random() == self.next_after(seed, k)
+            seen.add(k)
+        if mechanism == "trunc":
+            assert seen == {40} and not np.isnan(pbar).any()
+        else:
+            assert len(seen) > 5 and np.isnan(pbar[:, 0]).any()
+
+    def test_covariance_cell(self, mechanism):
+        seeds = range(100)
+        streams = self.streams(seeds)
+        s11, s22, _, _ = _covariance_cell(d.CovMatrix2(1.0, 1.0, 0.0), 20, (B3, B3), 1.0, mechanism, streams)
+        seen = set()
+        for seed, g, v11, v22 in zip(seeds, streams, s11.tolist(), s22.tolist()):
+            k = 3 if math.sqrt(v11 * v22) > 0.0 else 2
             assert g.random() == self.next_after(seed, k)
             seen.add(k)
         assert seen == ({3} if mechanism == "trunc" else {2, 3})
