@@ -183,6 +183,18 @@ class TestSanitizeProportions:
         with pytest.raises(d.RenormalizationDegenerateError):
             d.sanitize_proportions(self.COUNTS, 0.5, "bit", rng)
 
+    def test_rejects_stand_in_without_random(self):
+        # the trunc release draws with random(), so a stand-in needs it too
+        class NoRandom:
+            def uniform(self, low=0.0, high=1.0, size=None):
+                return low
+
+            def laplace(self, loc=0.0, scale=1.0, size=None):
+                return loc
+
+        with pytest.raises(TypeError):
+            d.sanitize_proportions(self.COUNTS, 0.5, "trunc", NoRandom())
+
     def test_rejects_bad_counts_and_budget(self):
         with pytest.raises(ValueError):
             d.sanitize_proportions((1, 2, 3), 0.5, "trunc", d.RandomStream(14))
