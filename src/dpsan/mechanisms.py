@@ -2,7 +2,11 @@
 
 Truncated and boundary-inflated truncated (BIT) Laplace samplers with the
 truncated density, its normalizer and the BIT boundary masses, plus the
-standard normal quantile the Wald intervals use. All randomness flows through
+standard normal quantile the Wald intervals use. Each mechanism has one
+sampler, in ``MECHANISMS``: it releases a batch of statistics, one row per
+release, and release i draws from generator i only as it asks (``_Draws``).
+The pipelines pass it a study cell's streams or the caller's generator, and
+the public samplers are its one-row case. All randomness flows through
 :class:`RandomStream` (or a ``numpy`` Generator derived from one), so every
 draw sequence is reproducible and independent streams can be consumed in
 any order without affecting each other.
@@ -211,10 +215,9 @@ def _as_generator(rng) -> np.random.Generator:
         return rng.generator()
     if isinstance(rng, np.random.Generator):
         return rng
-    # duck-typed stand-ins are accepted when they have the three draw
-    # methods the samplers and pipelines call; tests use one to script the
-    # draws a pipeline sees
-    if all(hasattr(rng, m) for m in ("random", "uniform", "laplace")):
+    # duck-typed stand-ins are accepted when they have the two draw methods
+    # the samplers call; tests use one to script the draws a pipeline sees
+    if all(hasattr(rng, m) for m in ("random", "laplace")):
         return rng
     raise TypeError(f"rng must be a RandomStream or numpy Generator, got {type(rng).__name__}")
 
@@ -226,25 +229,23 @@ def _as_scale(lam) -> float:
     return lam
 
 
-def _check_bounds(c0: float, c1: float) -> None:
-    if not c0 < c1:
+# the checks reduce with ndarray.all, which costs the scalar calls of the
+# closed forms a third of what np.all does
+def _check_bounds(c0, c1) -> None:
+    if not np.asarray(c0 < c1).all():
         raise ValueError(f"bounds must satisfy c0 < c1, got [{c0}, {c1}]")
 
 
-def _check_support(s: float, c0: float, c1: float) -> None:
-    _check_bounds(c0, c1)
-    if not c0 <= s <= c1:
-        raise ValueError(f"statistic {s} lies outside its bounds [{c0}, {c1}]")
+def _check_support(s, lam, c0, c1) -> float:
+    """Raise unless ``lam`` is a finite positive scale and each statistic
+    lies within its ordered bounds; returns the scale as a float.
 
-
-def _check_batch(s, lam, c0, c1) -> float:
-    """The samplers' checks over arrays of statistics and bounds that share
-    one scale; returns the scale as a float."""
+    ``s``, ``c0`` and ``c1`` may be floats or arrays that broadcast together.
+    """
     lam = _as_scale(lam)
-    if not np.all(c0 < c1):
-        raise ValueError("bounds must satisfy c0 < c1")
-    if not np.all((c0 <= s) & (s <= c1)):
-        raise ValueError("a statistic lies outside its bounds")
+    _check_bounds(c0, c1)
+    if not np.asarray((c0 <= s) & (s <= c1)).all():
+        raise ValueError(f"statistic {s} lies outside its bounds [{c0}, {c1}]")
     return lam
 
 
@@ -292,8 +293,7 @@ def trunc_laplace_pdf(x, s: float, lam, c0: float, c1: float):
             are not ordered, if ``s`` is out of range, or if ``lam`` is not
             a positive finite scale.
     """
-    lam = _as_scale(lam)
-    _check_support(s, c0, c1)
+    lam = _check_support(s, lam, c0, c1)
     xv = np.asarray(x, dtype=float)
     if np.any(xv < c0) or np.any(xv > c1):
         raise ValueError(f"density requested outside the support [{c0}, {c1}]")
@@ -304,8 +304,7 @@ def trunc_laplace_pdf(x, s: float, lam, c0: float, c1: float):
 
 def trunc_laplace_cdf(x, s: float, lam, c0: float, c1: float):
     """CDF of the truncated Laplace release (0 below c0, 1 above c1)."""
-    lam = _as_scale(lam)
-    _check_support(s, c0, c1)
+    lam = _check_support(s, lam, c0, c1)
     xv = np.asarray(x, dtype=float)
     z = _normalizer(s - c0, c1 - s, lam)
     out = np.clip(_laplace_cdf_gap(np.clip(xv, c0, c1), s, lam, c0) / z, 0.0, 1.0)
@@ -336,7 +335,8 @@ def _trunc_invert(u, s, lam, c0, c1):
 
     The Laplace(s, lam) quantile with one log per draw, s + lam log(2u)
     below the median and s - lam log(2(1 - u)) above it, clipped to
-    ``[c0, c1]``. ``s``, ``c0`` and ``c1`` may be arrays shaped like ``u``.
+    ``[c0, c1]``. ``s``, ``c0`` and ``c1`` may be arrays that broadcast
+    against ``u``.
     """
     low = u < 0.5
     x = np.where(low, u, 1.0 - u)
@@ -357,6 +357,69 @@ def _bit_clamp(e, s, c0, c1):
     return np.clip(e, c0, c1, out=e)
 
 
+class _Draws:
+    """The draws of a batch of releases: release i's from ``generators[i]``.
+
+    A release draws from its own generator only when it asks, so each
+    generator advances by exactly the draws its release used: uniforms for
+    ``trunc``, Laplace draws for ``bit``.
+    """
+
+    def __init__(self, generators) -> None:
+        self.generators = list(generators)
+        self.rows = np.arange(len(self.generators))
+
+    def uniform(self, rows, lo, hi, k):
+        # drawn in place, so a lone 10^6-draw row is never copied;
+        # Generator.uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit
+        u = np.empty((rows.size, k))
+        for j, i in enumerate(rows.tolist()):
+            self.generators[i].random(out=u[j])
+        u *= hi - lo
+        u += lo
+        return u
+
+    def laplace(self, rows, lam, k):
+        # Generator.laplace(0, lam) is lam times laplace(0, 1), bit for bit;
+        # a lone row is returned as drawn, without a copy
+        e = [self.generators[i].laplace(0.0, lam, k) for i in rows.tolist()]
+        return e[0][None] if len(e) == 1 else np.reshape(e, (rows.size, k))
+
+
+def _sample_trunc(draws, rows, s, lam, c0, c1, k):
+    lam = _check_support(s, lam, c0, c1)
+    u = draws.uniform(rows, _tails(c0 - s, lam), 1.0 - _tails(s - c1, lam), k)
+    return _trunc_invert(u, s, lam, c0, c1)
+
+
+def _sample_bit(draws, rows, s, lam, c0, c1, k):
+    lam = _check_support(s, lam, c0, c1)
+    return _bit_clamp(draws.laplace(rows, lam, k), s, c0, c1)
+
+
+# Each mechanism releases a batch: row i of ``s`` holds the statistics of
+# release ``rows[i]``, which takes its next ``k`` draws from ``draws``. ``s``
+# and the bounds broadcast against the (rows, k) draws; keep ``s`` narrow,
+# since the truncated sampler takes its tail masses per distinct element.
+MECHANISMS = {"trunc": _sample_trunc, "bit": _sample_bit}
+
+
+def _sampler(mechanism: str):
+    try:
+        return MECHANISMS[mechanism]
+    except KeyError:
+        raise ValueError(f"mechanism must be one of {sorted(MECHANISMS)}, got {mechanism!r}") from None
+
+
+def _one_row(sample, s, lam, c0, c1, rng, size):
+    """``size`` draws of one release of ``s`` from ``rng`` (a float when
+    ``size`` is None), through the batch sampler ``sample``."""
+    draws = _Draws([_as_generator(rng)])
+    k = 1 if size is None else int(np.prod(size))
+    x = sample(draws, draws.rows, np.full((1, 1), float(s)), lam, c0, c1, k)
+    return float(x[0, 0]) if size is None else x.reshape(size)
+
+
 def trunc_laplace_sample(s: float, lam, c0: float, c1: float, rng, size=None):
     """Draw from the truncated Laplace release via CDF inversion.
 
@@ -365,13 +428,7 @@ def trunc_laplace_sample(s: float, lam, c0: float, c1: float, rng, size=None):
     is fixed. Outputs land in ``[c0, c1]`` for every scale, including ones
     far larger or smaller than the interval width.
     """
-    s = float(s)
-    lam = _as_scale(lam)
-    _check_support(s, c0, c1)
-    g = _as_generator(rng)
-    u = g.uniform(_tail(c0 - s, lam), 1.0 - _tail(s - c1, lam), size=size)
-    x = _trunc_invert(u, s, lam, c0, c1)
-    return x if size is not None else float(x)
+    return _one_row(_sample_trunc, s, lam, c0, c1, rng, size)
 
 
 def bit_laplace_sample(s: float, lam, c0: float, c1: float, rng, size=None):
@@ -381,12 +438,7 @@ def bit_laplace_sample(s: float, lam, c0: float, c1: float, rng, size=None):
     Laplace density, and the overflow mass piles up as point masses on the
     two bounds (see :func:`bit_boundary_masses`).
     """
-    s = float(s)
-    lam = _as_scale(lam)
-    _check_support(s, c0, c1)
-    g = _as_generator(rng)
-    x = _bit_clamp(np.asarray(g.laplace(0.0, lam, size=size)), s, c0, c1)
-    return x if size is not None else float(x)
+    return _one_row(_sample_bit, s, lam, c0, c1, rng, size)
 
 
 def bit_boundary_masses(s: float, lam, c0: float, c1: float) -> tuple[float, float]:
@@ -396,10 +448,8 @@ def bit_boundary_masses(s: float, lam, c0: float, c1: float) -> tuple[float, flo
     ``p1 = exp(-(c1 - s)/lam) / 2``: the Laplace tail mass clamped onto each
     bound. Both tend to 1/2 as the scale grows and vanish as it shrinks.
     """
-    s = float(s)
-    lam = _as_scale(lam)
-    _check_support(s, c0, c1)
-    return 0.5 * math.exp(-(s - c0) / lam), 0.5 * math.exp(-(c1 - s) / lam)
+    lam = _check_support(s, lam, c0, c1)
+    return _tail(c0 - s, lam), _tail(s - c1, lam)
 
 
 def standard_normal_quantile(p: float) -> float:

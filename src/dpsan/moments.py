@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mechanisms import _as_scale, _check_support, _normalizer
+from .mechanisms import _check_support, _normalizer
 
 __all__ = [
     "MomentReport",
@@ -88,8 +88,7 @@ _bit_bias = _reflected(_bit_bias_core)
 
 def _checked(s, lam, c0, c1) -> tuple[float, float, float, float]:
     """The validated statistic, its gaps d0 and d1 to the bounds, and the scale."""
-    lam = _as_scale(lam)
-    _check_support(s, c0, c1)
+    lam = _check_support(s, lam, c0, c1)
     s = float(s)
     return s, s - float(c0), float(c1) - s, lam
 

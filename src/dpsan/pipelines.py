@@ -8,9 +8,9 @@ optionally repeated as multiple synthetic releases that are combined with a
 between/within variance estimate.
 
 Every release runs as array arithmetic over a batch of releases, one row
-each, and release i draws from generator i only as it asks (``_Draws``):
-the public functions release one row from the caller's generator, a study
-cell one row per replicate stream.
+each, through the batch samplers of :mod:`dpsan.mechanisms`: the public
+functions release one row from the caller's generator, a study cell one row
+per replicate stream.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .accountant import BudgetLedger, allocate_equal
-from .mechanisms import (
-    _as_generator,
-    _bit_clamp,
-    _check_batch,
-    _tails,
-    _trunc_invert,
-    standard_normal_quantile,
-)
+from .mechanisms import _as_generator, _Draws, _sampler, standard_normal_quantile
 from .sensitivity import (
     AttributeBounds,
     covariance_output_bounds,
@@ -38,7 +31,6 @@ from .sensitivity import (
 )
 
 __all__ = [
-    "MECHANISMS",
     "RenormalizationDegenerateError",
     "CovMatrix2",
     "ProportionVector",
@@ -59,53 +51,6 @@ def _degenerate(n: int, epsilon: float, mechanism: str) -> RenormalizationDegene
     return RenormalizationDegenerateError(
         f"all four sanitized proportions were zero twice in a row (n={n}, epsilon={epsilon}, mechanism={mechanism!r})"
     )
-
-
-class _Draws:
-    """The draws of a batch of releases: release i's from ``generators[i]``.
-
-    A release draws from its own generator only when it asks, so each
-    generator advances by exactly the draws its release used: uniforms for
-    ``trunc``, Laplace draws for ``bit``.
-    """
-
-    def __init__(self, generators) -> None:
-        self.generators = list(generators)
-        self.rows = np.arange(len(self.generators))
-
-    def uniform(self, rows, lo, hi):
-        # Generator.uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit
-        k = lo.shape[-1]
-        u = [self.generators[i].random(k) for i in rows.tolist()]
-        return lo + (hi - lo) * np.reshape(u, (rows.size, k))
-
-    def laplace(self, rows, lam, k):
-        # and Generator.laplace(0, lam) is lam times laplace(0, 1)
-        e = [self.generators[i].laplace(0.0, 1.0, k) for i in rows.tolist()]
-        return np.reshape(e, (rows.size, k)) * lam
-
-
-def _sample_trunc(draws, rows, s, lam, c0, c1):
-    lam = _check_batch(s, lam, c0, c1)
-    u = draws.uniform(rows, _tails(c0 - s, lam), 1.0 - _tails(s - c1, lam))
-    return _trunc_invert(u, s, lam, c0, c1)
-
-
-def _sample_bit(draws, rows, s, lam, c0, c1):
-    lam = _check_batch(s, lam, c0, c1)
-    return _bit_clamp(draws.laplace(rows, lam, s.shape[-1]), s, c0, c1)
-
-
-# Each mechanism releases a batch: row i of ``s`` holds the statistics of
-# release ``rows[i]``, which takes its next draws from ``draws``.
-MECHANISMS = {"trunc": _sample_trunc, "bit": _sample_bit}
-
-
-def _sampler(mechanism: str):
-    try:
-        return MECHANISMS[mechanism]
-    except KeyError:
-        raise ValueError(f"mechanism must be one of {sorted(MECHANISMS)}, got {mechanism!r}") from None
 
 
 def _check_covariance(s11, s22, s12) -> None:
@@ -204,7 +149,7 @@ def _covariance_releases(S, n, bounds, epsilon, mechanism, draws, ledger=None):
         if ledger is not None:
             ledger.spend(label, share)
         diagonal.append((value, gs_catalog("variance", n, b) / share, lo, hi))
-    s11, s22 = (sample(draws, rows, np.full((rows.size, 1), value), lam, lo, hi)[:, 0]
+    s11, s22 = (sample(draws, rows, np.full((rows.size, 1), value), lam, lo, hi, 1)[:, 0]
                 for value, lam, lo, hi in diagonal)
 
     if ledger is not None:
@@ -220,7 +165,7 @@ def _covariance_releases(S, n, bounds, epsilon, mechanism, draws, ledger=None):
         # the confidential s12 can fall outside the sanitized interval;
         # the mechanisms require an in-range location
         loc = np.minimum(np.maximum(S.s12, lo12), hi12)
-        s12[open_] = sample(draws, rows[open_], loc, lam, lo12, hi12)[:, 0]
+        s12[open_] = sample(draws, rows[open_], loc, lam, lo12, hi12, 1)[:, 0]
     _check_covariance(s11, s22, s12)
     return s11, s22, s12
 
@@ -280,7 +225,7 @@ def _renormalized(phat, n: int, epsilon: float, mechanism: str, draws, rows):
     p = np.full(phat.shape, math.nan)
     todo = np.arange(len(phat))
     for _attempt in range(2):
-        q = sample(draws, rows[todo], phat[todo], lam, 0.0, 1.0)
+        q = sample(draws, rows[todo], phat[todo], lam, 0.0, 1.0, 4)
         total = np.array([math.fsum(r) for r in q.tolist()])
         done = total > 0.0
         p[todo[done]] = q[done] / total[done, None]

@@ -18,9 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .mechanisms import RandomStream
+from .mechanisms import MECHANISMS, RandomStream
 from .pipelines import (
-    MECHANISMS,
     CovMatrix2,
     _covariance_cell,
     _proportions_cell,

@@ -300,3 +300,33 @@ def test_criterion_11_sensitivity_catalog_is_a_tight_ceiling():
         data = np.array([b.c0] * (n // 2) + [b.c1] * (n // 2))
         hi = d.variance_output_bounds(n, b)[1]
         assert float(np.var(data, ddof=1)) == pytest.approx(hi, rel=1e-14)
+
+
+def test_criterion_12_variance_releases_match_their_closed_form_means(cov_run):
+    # theory beside simulation: each sanitized variance cell's mean lies
+    # within K standard errors of the closed-form mean at the release's own
+    # scale and interval. K = 3.66 was fixed before the run: the two-sided
+    # Bonferroni bound at alpha = 0.01 over the 40 cells. The standard error
+    # comes from the closed-form second moment.
+    K = 3.66
+    report, _ = cov_run
+    moments = {"trunc": (d.trunc_mean, d.trunc_second_moment), "bit": (d.bit_mean, d.bit_second_moment)}
+    reps = {}
+    for r in report.replicates:
+        key = (r.spec, r.n, r.mechanism, r.stat)
+        reps[key] = reps.get(key, 0) + 1
+    z = {}
+    for r in report.summary:
+        if r.stat not in ("s11", "s22"):
+            continue
+        i = ("s11", "s22").index(r.stat)
+        S, bounds = d.COV_SPECS[r.spec]
+        lam = d.gs_catalog("variance", r.n, bounds[i]) / d.allocate_equal(r.eps, 3)[i]
+        lo, hi = d.variance_output_bounds(r.n, bounds[i])
+        mean_fn, m2_fn = moments[r.mechanism]
+        mean = mean_fn(r.original, lam, lo, hi)
+        se = math.sqrt((m2_fn(r.original, lam, lo, hi) - mean * mean) / reps[r.spec, r.n, r.mechanism, r.stat])
+        z[r.spec, r.n, r.mechanism, r.stat] = (r.mean - mean) / se
+    assert len(z) == 40
+    worst = max(z, key=lambda key: abs(z[key]))
+    assert abs(z[worst]) <= K, f"{worst}: simulated mean {z[worst]:+.2f} SE from the closed form"

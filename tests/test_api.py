@@ -41,7 +41,7 @@ def test_benchmark_tracer_installs_and_uninstalls():
     # the traced benchmark run looks up the functions it wraps by name, so
     # install() raises once one of them is deleted or renamed
     sample = dpsan.mechanisms.trunc_laplace_sample
-    mechanisms = dict(dpsan.pipelines.MECHANISMS)
+    mechanisms = dict(dpsan.mechanisms.MECHANISMS)
     t = load_tracer().Tracer().install(dpsan)
     try:
         assert dpsan.mechanisms.trunc_laplace_sample is not sample
@@ -50,7 +50,22 @@ def test_benchmark_tracer_installs_and_uninstalls():
     finally:
         t.uninstall()
     assert dpsan.mechanisms.trunc_laplace_sample is sample
-    assert dpsan.pipelines.MECHANISMS == mechanisms
+    assert dpsan.mechanisms.MECHANISMS == mechanisms
+
+
+def test_benchmark_tracer_leaves_release_kernels_unwrapped():
+    # the tracer wraps the public samplers wherever a dpsan module holds
+    # them, so a MECHANISMS entry that held one would send every study
+    # draw through the wrapper's per-call hooks
+    t = load_tracer().Tracer().install(dpsan)
+    try:
+        assert not any(hasattr(f, "__wrapped__") for f in dpsan.mechanisms.MECHANISMS.values())
+        dpsan.sanitize_proportions((10, 20, 30, 40), 1.0, "trunc", dpsan.RandomStream(1))
+        calls = t.self_times()
+    finally:
+        t.uninstall()
+    assert calls["pipelines.release"][0] == 1
+    assert calls["mechanisms.sample"][0] == 0
 
 
 def test_benchmark_tracer_counts_study_rows(tmp_path):

@@ -163,6 +163,18 @@ class TestTruncAudit:
         assert res.realized >= res.nominal - 1e-12
 
 
+@pytest.mark.parametrize("kind", ["trunc", "bit"])
+@pytest.mark.parametrize("delta1", [0.05, 0.3, 1.0, 2.5])
+def test_realized_non_increasing_in_scale(kind, delta1):
+    # more noise never leaks more: each audited loss is at most the one at
+    # the next smaller scale, over 21 log-spaced scales from 1e-2 to 1e3
+    prev = math.inf
+    for lam in np.logspace(-2.0, 3.0, 21).tolist():
+        realized = d.audit_mechanism(kind, lam, 0.0, 1.0, delta1, 400).realized
+        assert realized <= prev, (lam, realized, prev)
+        prev = realized
+
+
 class TestValidation:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -260,6 +260,21 @@ class TestBitSampler:
         assert {0.0, 1.0} <= set(outs)
 
 
+@pytest.mark.parametrize("sampler", [d.trunc_laplace_sample, d.bit_laplace_sample])
+@pytest.mark.parametrize("size", [0, 7, (), (2, 3), np.int64(5)], ids=repr)
+def test_size_is_the_output_shape(sampler, size):
+    # a sized call returns its draws shaped as numpy shapes ``size``, equal
+    # to as many one-at-a-time draws, and takes exactly that many draws
+    g = d.RandomStream(37).generator()
+    out = sampler(0.2, 0.5, 0.0, 1.0, g, size=size)
+    shape = np.empty(size).shape
+    twin = d.RandomStream(37).generator()
+    one_by_one = np.array([sampler(0.2, 0.5, 0.0, 1.0, twin) for _ in range(math.prod(shape))])
+    assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == shape
+    assert out.tobytes() == one_by_one.tobytes()
+    assert g.random() == twin.random()
+
+
 class TestScalarMatchesBatched:
     """k one-at-a-time draws equal one size=k draw from the same stream, bit for bit."""
 

@@ -24,11 +24,11 @@ class _ScriptedRng:
             return self._script.pop(0)
         return np.array([self._script.pop(0) for _ in range(size)])
 
-    def random(self, size=None):
-        return self._next(size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return low + (high - low) * self._next(size)
+    def random(self, size=None, out=None):
+        if out is None:
+            return self._next(size)
+        out[...] = self._next(out.size)
+        return out
 
     def laplace(self, loc=0.0, scale=1.0, size=None):
         return loc + scale * self._next(size)
