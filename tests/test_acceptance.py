@@ -14,6 +14,7 @@ documented rather than patched over.
 import itertools
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -311,16 +312,13 @@ def test_criterion_12_variance_releases_match_their_closed_form_means(cov_run):
     K = 3.66
     report, _ = cov_run
     moments = {"trunc": (d.trunc_mean, d.trunc_second_moment), "bit": (d.bit_mean, d.bit_second_moment)}
-    reps = {}
-    for r in report.replicates:
-        key = (r.spec, r.n, r.mechanism, r.stat)
-        reps[key] = reps.get(key, 0) + 1
+    reps = Counter((r.spec, r.n, r.mechanism, r.stat) for r in report.replicates)
     z = {}
     for r in report.summary:
         if r.stat not in ("s11", "s22"):
             continue
         i = ("s11", "s22").index(r.stat)
-        S, bounds = d.COV_SPECS[r.spec]
+        bounds = d.COV_SPECS[r.spec][1]
         lam = d.gs_catalog("variance", r.n, bounds[i]) / d.allocate_equal(r.eps, 3)[i]
         lo, hi = d.variance_output_bounds(r.n, bounds[i])
         mean_fn, m2_fn = moments[r.mechanism]
