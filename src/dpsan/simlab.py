@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mechanisms import MECHANISMS, RandomStream
+from .mechanisms import MECHANISMS, RandomStream, _is_index
 from .pipelines import (
     CovMatrix2,
     _covariance_cell,
@@ -91,17 +91,24 @@ class SimConfig:
         if self.study not in _STUDIES:
             raise ValueError(f"study must be one of {tuple(_STUDIES)}, got {self.study!r}")
         study = _STUDIES[self.study]
-        specs = tuple(int(s) for s in self.specs)
+        # Each grid value's position picks its streams, so a value that is
+        # not what it looks like, or a repeated one, is refused, never fixed.
+        specs = tuple(self.specs)
         if not specs or any(s not in COV_SPECS for s in specs):
             raise ValueError(f"spec ids must be drawn from {sorted(COV_SPECS)}, got {self.specs!r}")
-        ns = tuple(int(n) for n in self.ns) or study.ns
-        if any(n < 2 for n in ns):
-            raise ValueError(f"sample sizes must be at least 2, got {ns}")
+        if not all(_is_index(s) for s in specs) or len(set(specs)) != len(specs):
+            raise ValueError(f"spec ids must be distinct integers, got {self.specs!r}")
+        ns = tuple(self.ns) or study.ns
+        if not all(_is_index(n) and n >= 2 for n in ns):
+            raise ValueError(f"sample sizes must be integers of at least 2, got {self.ns!r}")
+        ns = tuple(int(n) for n in ns)
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError(f"sample size grid must be strictly increasing, got {ns}")
         eps = tuple(float(e) for e in self.eps) or study.eps
         if any(not math.isfinite(e) or e <= 0.0 for e in eps):
             raise ValueError(f"budgets must be finite and positive, got {eps}")
+        if any(isinstance(e, (bool, np.bool_)) for e in self.eps) or len(set(eps)) != len(eps):
+            raise ValueError(f"budgets must be distinct numbers, not bools, got {self.eps!r}")
         mechs = tuple(self.mechanisms)
         if not mechs or any(m not in MECHANISMS for m in mechs) or len(set(mechs)) != len(mechs):
             raise ValueError(f"mechanisms must be distinct members of {sorted(MECHANISMS)}, got {self.mechanisms!r}")
@@ -111,7 +118,7 @@ class SimConfig:
             raise ValueError(f"synthesis count must be a positive integer, got {self.m!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        object.__setattr__(self, "specs", specs)
+        object.__setattr__(self, "specs", tuple(int(s) for s in specs))
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "mechanisms", mechs)

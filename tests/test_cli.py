@@ -1,11 +1,14 @@
 """Command-line entry points, exercised through main(argv)."""
 
+import argparse
 import math
 
 import pytest
 
 import dpsan as d
-from dpsan.cli import load_config_file, main
+from dpsan import dpaudit, simlab
+from dpsan.cli import _build_parser, load_config_file, main
+from dpsan.mechanisms import MECHANISMS
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +42,33 @@ class TestConfigFile:
         cfg.write_text("seed\n", encoding="utf-8")
         with pytest.raises(ValueError, match="key=value"):
             load_config_file(str(cfg))
+
+
+class TestOutputBytes:
+    """The exact stdout, recorded before the rows went through csv.writer."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("moments", "--s", "0.2", "--c0", "0", "--c1", "1", "--lambda", "0.5"),
+         "s,lambda,c0,c1,trunc_mean,bit_mean,trunc_second_moment,bit_second_moment,trunc_bias,bit_bias,"
+         "tails_underflowed\n"
+         "0.2,0.5,0.0,1.0,0.38333179246786664,0.31710588201024603,0.2128943149347615,0.22099759999509866,"
+         "0.1833317924678666,0.11710588201024599,0\n"),
+        (("moments", "--s", "0.2", "--c0", "0", "--c1", "1", "--lambda", "1e-300"),
+         "s,lambda,c0,c1,trunc_mean,bit_mean,trunc_second_moment,bit_second_moment,trunc_bias,bit_bias,"
+         "tails_underflowed\n"
+         "0.2,1e-300,0.0,1.0,0.2,0.2,0.04000000000000001,0.04000000000000001,0.0,0.0,1\n"),
+        (("audit", "--mech", "trunc", "--lambda", "0.3", "--c0", "0", "--c1", "1", "--delta1", "0.3"),
+         "mechanism,nominal,realized,worst_s,worst_s_prime,worst_output,passed\n"
+         "trunc,1.0,1.4649530386521068,0.0,0.3,0.0,0\n"),
+        (("audit", "--mech", "bit", "--lambda", "0.3", "--c0", "0", "--c1", "1", "--delta1", "0.3"),
+         "mechanism,nominal,realized,worst_s,worst_s_prime,worst_output,passed\n"
+         "bit,1.0,1.0,0.0,0.3,0.0,1\n"),
+        (("audit", "--mech", "laplace", "--lambda", "0.5", "--c0", "0", "--c1", "1", "--delta1", "0.3"),
+         "mechanism,nominal,realized,worst_s,worst_s_prime,worst_output,passed\n"
+         "laplace,0.6,0.6,0.0,0.3,0.0,1\n"),
+    ], ids=["moments-readme", "moments-underflow", "audit-readme-trunc", "audit-bit", "audit-laplace"])
+    def test_stdout_is_exact(self, capsys, argv, expected):
+        assert run_cli(capsys, *argv) == (0, expected)
 
 
 class TestMomentsCommand:
@@ -171,6 +201,108 @@ class TestSimCommand:
     def test_invalid_grid_surfaces_as_error(self, capsys):
         err = usage_error(capsys, "sim", "prop", "--n", "50,10", "--reps", "1")
         assert "dpsan: error: sample size grid must be strictly increasing" in err
+
+
+class _Captured(Exception):
+    pass
+
+
+class TestSimSettings:
+    """Each sim setting resolves the same way from a flag, a config line and its default."""
+
+    # key: (SimConfig field, text, its value, other text, its value)
+    SETTINGS = {
+        "spec": ("specs", "2,3", (2, 3), "1", (1,)),
+        "n": ("ns", "20, 40", (20, 40), "30", (30,)),
+        "eps": ("eps", "0.25,2", (0.25, 2.0), "0.5", (0.5,)),
+        "mech": ("mechanisms", " bit", ("bit",), "trunc,bit", ("trunc", "bit")),
+        "reps": ("reps", "7", 7, "9", 9),
+        "m": ("m", "3", 3, "4", 4),
+        "seed": ("seed", "8", 8, "6", 6),
+        "out": ("out_dir", "a", "a", "b", "b"),
+    }
+    LISTS = ("spec", "n", "eps", "mech")
+
+    @pytest.fixture(autouse=True)
+    def _capture(self, monkeypatch, tmp_path):
+        def run_study(config):
+            raise _Captured(config)
+        monkeypatch.setattr("dpsan.cli.run_study", run_study)
+        monkeypatch.delenv("DPSAN_SEED", raising=False)
+        self.tmp_path = tmp_path
+
+    def config(self, *flags, file=None):
+        argv = ["sim", "cov", *flags]
+        if file is not None:
+            cfg = self.tmp_path / "run.cfg"
+            cfg.write_text(file, encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        with pytest.raises(_Captured) as exc:
+            main(argv)
+        return exc.value.args[0]
+
+    def test_unknown_key_lists_every_setting(self):
+        cfg = self.tmp_path / "run.cfg"
+        cfg.write_text("nope=1\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_config_file(str(cfg))
+        assert str(exc.value).endswith(f"unknown setting 'nope' (known: {', '.join(self.SETTINGS)})")
+
+    @pytest.mark.parametrize("key", SETTINGS)
+    def test_flag_and_config_line_agree(self, key):
+        field, text, value, _, _ = self.SETTINGS[key]
+        from_flag = self.config(f"--{key}", text)
+        assert from_flag == self.config(file=f"{key}={text}\n")
+        assert getattr(from_flag, field) == value != getattr(self.config(), field)
+        assert from_flag == d.SimConfig("cov", **{field: value})
+
+    @pytest.mark.parametrize("key", SETTINGS)
+    def test_flag_beats_config_line(self, key):
+        field, text, _, other, other_value = self.SETTINGS[key]
+        assert getattr(self.config(f"--{key}", other, file=f"{key}={text}\n"), field) == other_value
+
+    @pytest.mark.parametrize("key", LISTS)
+    def test_empty_list_flag_falls_back(self, key):
+        field, text, value, _, _ = self.SETTINGS[key]
+        assert getattr(self.config(f"--{key}", "", file=f"{key}={text}\n"), field) == value
+        assert self.config(f"--{key}", "") == self.config()
+
+    def test_empty_out_flag_beats_config_line(self):
+        assert self.config("--out", "", file="out=a\n").out_dir == ""
+
+    @pytest.mark.parametrize("key", SETTINGS)
+    def test_env_seed_fills_only_a_missing_seed(self, key, monkeypatch):
+        monkeypatch.setenv("DPSAN_SEED", "13")
+        _, text, value, _, _ = self.SETTINGS[key]
+        seed = value if key == "seed" else 13
+        assert self.config(f"--{key}", text).seed == seed
+        assert self.config(file=f"{key}={text}\n").seed == seed
+
+
+def _options(parser):
+    return {action.dest: action for action in parser._actions}
+
+
+def _subparser(name):
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+class TestLibraryLists:
+    def test_sim_studies_are_the_library_studies(self):
+        assert _options(_subparser("sim"))["study"].choices == tuple(simlab._STUDIES)
+
+    def test_audit_kinds_are_the_library_kinds(self):
+        assert _options(_subparser("audit"))["mech"].choices == dpaudit._KINDS
+
+    def test_sim_mech_help_names_every_mechanism(self):
+        help_text = _options(_subparser("sim"))["mech"].help
+        assert all(name in help_text for name in MECHANISMS)
+
+    def test_sim_flags_are_the_config_keys(self):
+        flags = {f"--{key}" for key in (*TestSimSettings.SETTINGS, "config")}
+        assert flags <= set(_subparser("sim")._option_string_actions)
 
 
 class TestHelp:
