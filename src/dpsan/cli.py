@@ -93,16 +93,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sim(args) -> int:
-    texts = load_config_file(args.config) if args.config else {}
+    # key: (text, where it came from), so a parse error can name its source
+    texts = {}
+    if args.config:
+        texts = {key: (text, f"{args.config}: setting {key!r}") for key, text in load_config_file(args.config).items()}
     if "seed" not in texts and os.environ.get("DPSAN_SEED"):
-        texts["seed"] = os.environ["DPSAN_SEED"]
+        texts["seed"] = (os.environ["DPSAN_SEED"], "DPSAN_SEED")
     given = {}
     for key, (field, parse, _, _) in _SIM_SETTINGS.items():
-        value = getattr(args, key)
-        if value is None:
-            value = texts.get(key)
-        if value is not None:
-            given[field] = parse(value)
+        if getattr(args, key) is not None:
+            texts[key] = (getattr(args, key), f"argument --{key}")
+        if key in texts:
+            value, source = texts[key]
+            try:
+                given[field] = parse(value)
+            except ValueError as exc:
+                raise ValueError(f"{source}: {exc}") from None
     config = SimConfig(study=args.study, **given)
     report = run_study(config)
     rep_path, sum_path = report.write_csv(config.out_dir)

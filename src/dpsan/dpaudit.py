@@ -88,17 +88,22 @@ def _band_width(svals: np.ndarray, thr: float) -> int:
         width *= 2
 
 
-def _worst_pair(kind: str, svals: np.ndarray, lam: float, delta1: float, c0: float, c1: float):
+def _worst_pair(svals: np.ndarray, logz: np.ndarray, lam: float, delta1: float, c0: float, c1: float):
     """Worst neighboring pair of a bounded mechanism, one block of rows at a time.
 
     The admitted pairs are those with ``s <= s'`` (the ratio is symmetric
     under swapping the pair) and ``|s - s'| <= delta1`` up to a 1e-15
-    relative slack. Row ``i`` is evaluated over a window of
-    the next ``W`` statistic values (see :func:`_band_width`), a block of
-    rows at a time in buffers allocated once per call, so memory is
-    O(block * W) rather than O(N^2) for N statistic values. The result is
-    the first maximum in row-major pair order, the same pair ``np.argmax``
-    picks over the full pair list, with the same arithmetic per pair.
+    relative slack. Each is scored by its loss ``|s - s'| / lam + |log Z(s')
+    - log Z(s)|``, with ``logz`` the log-normalizer at each statistic: the
+    separation term and the log-Z ratio align at one interval end, ``c0``
+    when ``|sep + dz| >= |dz - sep|`` and ``c1`` otherwise.
+
+    Row ``i`` is evaluated over a window of the next ``W`` statistic values
+    (see :func:`_band_width`), a block of rows at a time in buffers
+    allocated once per call, so memory is O(block * W) rather than O(N^2)
+    for N statistic values. The result is the first maximum in row-major
+    pair order, the same pair ``np.argmax`` picks over the full pair list,
+    with the same arithmetic per pair.
 
     Returns ``(realized, (s, s'), worst_output)``.
     """
@@ -106,22 +111,17 @@ def _worst_pair(kind: str, svals: np.ndarray, lam: float, delta1: float, c0: flo
     n = svals.size
     width = _band_width(svals, thr)
     rows = min(n, max(1, _BLOCK_PAIRS // width))
-    # row i's partners s_j (and log Z_j) for j = i .. i + width - 1; the
+    # row i's partners s_j and log Z_j for j = i .. i + width - 1; the
     # padding lies past the threshold, so it is never admitted
     s_win = sliding_window_view(np.concatenate([svals, np.full(width - 1, np.inf)]), width)
-    sep = np.empty((rows, width))
+    z_win = sliding_window_view(np.concatenate([logz, np.zeros(width - 1)]), width)
+    sep, loss = np.empty((rows, width)), np.empty((rows, width))
     outside = np.empty((rows, width), dtype=bool)
-    if kind == "trunc":
-        # the normalizer depends on s, so the worst output is the interval
-        # end where the separation term and the log-Z ratio align
-        logz = np.log(_normalizer(svals - c0, c1 - svals, lam))
-        z_win = sliding_window_view(np.concatenate([logz, np.zeros(width - 1)]), width)
-        dz, at_c0, at_c1, worst = (np.empty((rows, width)) for _ in range(4))
     best = None
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         b = r1 - r0
-        sep_b, out_b = sep[:b], outside[:b]
+        sep_b, loss_b, out_b = sep[:b], loss[:b], outside[:b]
         # s_j >= s_i, so s_j - s_i equals |s_i - s_j| bit for bit
         np.subtract(s_win[r0:r1], svals[r0:r1, None], out=sep_b)
         np.greater(sep_b, thr, out=out_b)
@@ -129,29 +129,20 @@ def _worst_pair(kind: str, svals: np.ndarray, lam: float, delta1: float, c0: flo
         # inflation back to the true separation cap
         np.minimum(sep_b, delta1, out=sep_b)
         np.divide(sep_b, lam, out=sep_b)
-        if kind == "bit":
-            # interior ratio and both boundary-mass ratios all peak at
-            # exp(|s - s'| / lam); the widest pair decides
-            cand = sep_b
-        else:
-            dz_b, c0_b, c1_b, cand = dz[:b], at_c0[:b], at_c1[:b], worst[:b]
-            np.subtract(z_win[r0:r1], logz[r0:r1, None], out=dz_b)
-            np.abs(np.add(sep_b, dz_b, out=c0_b), out=c0_b)
-            np.abs(np.subtract(dz_b, sep_b, out=c1_b), out=c1_b)  # -sep + dz
-            np.maximum(c0_b, c1_b, out=cand)
-        np.copyto(cand, -np.inf, where=out_b)
-        row, col = divmod(int(np.argmax(cand)), width)
-        value = float(cand[row, col])
+        # for sep >= 0, sep + |dz| is max(|sep + dz|, |dz - sep|) bit for bit
+        np.abs(np.subtract(z_win[r0:r1], logz[r0:r1, None], out=loss_b), out=loss_b)
+        np.add(sep_b, loss_b, out=loss_b)
+        np.copyto(loss_b, -np.inf, where=out_b)
+        row, col = divmod(int(np.argmax(loss_b)), width)
+        value = float(loss_b[row, col])
         # a later block wins only when strictly greater. A NaN loss (log Z
         # underflowed to -inf) first occurs at the pair (c0, c0), so it is
         # kept, as np.argmax keeps the first NaN.
         if best is None or value > best[0]:
-            i = r0 + row
-            if kind == "bit":
-                output = c0  # the ratio saturates at any output below both statistics
-            else:
-                output = c0 if at_c0[row, col] >= at_c1[row, col] else c1
-            best = (value, (float(svals[i]), float(svals[i + col])), output)
+            i, j = r0 + row, r0 + row + col
+            sep_ij, dz = float(sep_b[row, col]), float(logz[j] - logz[i])
+            output = c0 if abs(sep_ij + dz) >= abs(dz - sep_ij) else c1
+            best = (value, (float(svals[i]), float(svals[j])), output)
     return best
 
 
@@ -198,7 +189,13 @@ def audit_mechanism(kind: str, lam, c0: float, c1: float, delta1: float, grid: i
         pair = (c0, c0 + delta1)
         output = c0
     else:
-        realized, pair, output = _worst_pair(kind, _statistic_grid(c0, c1, delta1, grid), lam, delta1, c0, c1)
+        svals = _statistic_grid(c0, c1, delta1, grid)
+        # Only the truncated normalizer Z depends on the statistic. BIT's
+        # interior and boundary-mass ratios all peak at exp(|s - s'| / lam),
+        # so its log Z is zero and its worst output c0, where the ratio
+        # saturates below both statistics.
+        logz = np.log(_normalizer(svals - c0, c1 - svals, lam)) if kind == "trunc" else np.zeros(svals.size)
+        realized, pair, output = _worst_pair(svals, logz, lam, delta1, c0, c1)
     return AuditResult(
         kind=kind,
         nominal=nominal,

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .accountant import BudgetLedger, allocate_equal
-from .mechanisms import _as_generator, _Draws, _sampler, standard_normal_quantile
+from .mechanisms import _as_generator, _Draws, _is_index, _sampler, standard_normal_quantile
 from .sensitivity import (
     AttributeBounds,
     covariance_output_bounds,
@@ -202,11 +202,12 @@ def sanitize_covariance(S: CovMatrix2, n: int, bounds, epsilon: float, mechanism
 
 def _proportions_of(counts) -> tuple[np.ndarray, int]:
     """Checked category counts as one row of proportions, and their total."""
-    counts = [int(c) for c in counts]
+    counts = list(counts)
     if len(counts) != 4:
         raise ValueError(f"exactly four category counts required, got {len(counts)}")
-    if any(c < 0 for c in counts):
-        raise ValueError(f"counts must be nonnegative, got {counts}")
+    if not all(map(_is_index, counts)):
+        raise ValueError(f"counts must be nonnegative integers, got {counts!r}")
+    counts = [int(c) for c in counts]
     n = sum(counts)
     if n < 1:
         raise ValueError("counts must sum to at least 1")
@@ -372,17 +373,10 @@ def _covariance_cell(S, n, bounds, epsilon, mechanism, streams):
     return s11, s22, s12, _correlation(s11, s22, s12)
 
 
-def _proportions_cell(phat, n, epsilon, mechanism, streams, level=0.95):
-    """Released proportions of each row of ``phat`` (one stream each) and
-    their Wald interval bounds; a degenerate release's row is NaN."""
-    draws = _Draws(streams)
-    p = _renormalized(phat, n, epsilon, mechanism, draws, draws.rows)
-    return (p, *_wald(p, n, level))
-
-
-def _synthesis_cell(phat, n, epsilon, m, mechanism, streams, level=0.95):
+def _synthesis_cell(phat, n, epsilon, m, mechanism, streams):
     """Combined estimates of an m-set synthesis of each row of ``phat`` (one
-    stream each) and their interval bounds; a degenerate bundle's row is NaN."""
+    stream each) and their 95% interval bounds; a degenerate bundle's row is
+    NaN. At m = 1 these are the single release and its Wald interval."""
     sets = _synthesize(phat, n, allocate_equal(epsilon, m), mechanism, _Draws(streams))
-    pbar, _, interval = _combine(sets, n, level)
+    pbar, _, interval = _combine(sets, n, 0.95)
     return (pbar, *interval)

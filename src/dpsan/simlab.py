@@ -19,13 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .mechanisms import MECHANISMS, RandomStream, _is_index
-from .pipelines import (
-    CovMatrix2,
-    _covariance_cell,
-    _proportions_cell,
-    _synthesis_cell,
-    _wald,
-)
+from .pipelines import CovMatrix2, _covariance_cell, _synthesis_cell, _wald
 from .sensitivity import AttributeBounds
 
 __all__ = [
@@ -234,9 +228,18 @@ def _coverage(estimate, lo, hi) -> list:
     return [nan4 if math.isnan(e[0]) else c for e, c in zip(estimate.tolist(), covered)]
 
 
-def _run_prop_like(config: SimConfig, release) -> SimReport:
+def _run_prop(config: SimConfig) -> SimReport:
+    """Redraw multinomial data each replicate and sanitize the proportions.
+
+    Reports the sanitized estimates next to the unsanitized baseline
+    (mechanism column ``original``), with interval coverage of the true
+    proportions. Study ``prop`` makes one release per replicate, with its
+    Wald interval; ``prop-ms`` an m-set synthesis, with its combined
+    estimate and combined-variance interval.
+    """
     root = RandomStream(config.seed)
     domain = _STUDIES[config.study].domain
+    m = 1 if config.study == "prop" else config.m
     arms = 1 + len(config.mechanisms)
     cats = [(f"p{k + 1}", k + 1, t) for k, t in enumerate(PROP_TRUTH)]
     rows: list[PropRow] = []
@@ -249,7 +252,7 @@ def _run_prop_like(config: SimConfig, release) -> SimReport:
             phat = np.array([g.multinomial(n, PROP_TRUTH) for g in streams[::arms]]) / n
             columns = [("original", phat, _coverage(phat, *_wald(phat, n)))]
             for im, mech in enumerate(config.mechanisms):
-                estimate, lo, hi = release(phat, n, eps, mech, streams[1 + im::arms])
+                estimate, lo, hi = _synthesis_cell(phat, n, eps, m, mech, streams[1 + im::arms])
                 columns.append((mech, estimate, _coverage(estimate, lo, hi)))
             phat = phat.tolist()
             columns = [(mech, estimate.tolist(), cps) for mech, estimate, cps in columns]
@@ -260,29 +263,6 @@ def _run_prop_like(config: SimConfig, release) -> SimReport:
     return SimReport(study=config.study, replicates=tuple(rows), summary=tuple(summarize(rows)))
 
 
-def _run_prop(config: SimConfig) -> SimReport:
-    """Redraw multinomial data each replicate and sanitize the proportions once.
-
-    Reports the sanitized estimates next to the unsanitized baseline
-    (mechanism column ``original``), with Wald interval coverage of the
-    true proportions.
-    """
-    return _run_prop_like(config, _proportions_cell)
-
-
-def _run_prop_ms(config: SimConfig) -> SimReport:
-    """As :func:`_run_prop`, but each release is an m-set synthesis.
-
-    The combined point estimate and combined-variance interval replace the
-    single release and its Wald interval.
-    """
-
-    def release(phat, n, eps, mech, streams):
-        return _synthesis_cell(phat, n, eps, config.m, mech, streams)
-
-    return _run_prop_like(config, release)
-
-
 # One entry per study: the random-stream domain id (which keeps each
 # study's streams apart, so changing it changes the CSVs), the default
 # sample-size and budget grids, and the runner.
@@ -290,7 +270,7 @@ _Study = namedtuple("_Study", "domain ns eps run")
 _STUDIES = {
     "cov": _Study(1, (50, 100, 200, 400, 800), (1.0,), _run_cov),
     "prop": _Study(2, (50, 100, 200, 300, 400, 500), (0.1, 0.5, 1.0), _run_prop),
-    "prop-ms": _Study(3, (50, 100, 200, 300, 400, 500), (0.1, 0.5, 1.0), _run_prop_ms),
+    "prop-ms": _Study(3, (50, 100, 200, 300, 400, 500), (0.1, 0.5, 1.0), _run_prop),
 }
 
 

@@ -202,6 +202,20 @@ class TestSimCommand:
         err = usage_error(capsys, "sim", "prop", "--n", "50,10", "--reps", "1")
         assert "dpsan: error: sample size grid must be strictly increasing" in err
 
+    def test_unparsable_setting_names_its_source(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # nothing may be written here
+        invalid = "invalid literal for int() with base 10"
+        err = usage_error(capsys, "sim", "prop", "--spec", "x")
+        assert f"dpsan: error: argument --spec: {invalid}: 'x'\n" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=5a\n", encoding="utf-8")
+        err = usage_error(capsys, "sim", "prop", "--config", str(cfg))
+        assert f"dpsan: error: {cfg}: setting 'n': {invalid}: '5a'\n" in err
+        monkeypatch.setenv("DPSAN_SEED", "x")
+        err = usage_error(capsys, "sim", "prop")
+        assert f"dpsan: error: DPSAN_SEED: {invalid}: 'x'\n" in err
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class _Captured(Exception):
     pass

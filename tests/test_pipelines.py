@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dpsan as d
-from dpsan.pipelines import _covariance_cell, _proportions_cell, _synthesis_cell
+from dpsan.pipelines import _covariance_cell, _synthesis_cell
 
 B3 = d.AttributeBounds(-3.0, 3.0)
 B45 = d.AttributeBounds(-4.5, 4.5)
@@ -204,6 +204,11 @@ class TestSanitizeProportions:
             d.sanitize_proportions((0, 0, 0, 0), 0.5, "trunc", d.RandomStream(14))
         with pytest.raises(ValueError):
             d.sanitize_proportions(self.COUNTS, 0.0, "trunc", d.RandomStream(14))
+        # a count that is not a nonnegative integer is refused, never truncated
+        for counts in ((10.9, 20, 30, 40), (10.0, 20, 30, 40), ("10", "20", "30", "40"),
+                       (True, 20, 30, 40), (np.True_, 20, 30, 40), (np.float64(10), 20, 30, 40)):
+            with pytest.raises(ValueError):
+                d.sanitize_proportions(counts, 0.5, "trunc", d.RandomStream(14))
 
 
 class TestWaldCi:
@@ -288,6 +293,9 @@ class TestMultipleSynthesis:
             d.multiple_synthesis(self.COUNTS, 1.0, 2.5, "trunc", d.RandomStream(27))
         with pytest.raises(ValueError):
             d.multiple_synthesis(self.COUNTS, 1.0, 2, "trunc", d.RandomStream(27), level=0.0)
+        for counts in ((True, 20, 30, 40.99), (10, 20, 30, 40.0), ("10", "20", "30", "40"), (10, 20, 30, -1)):
+            with pytest.raises(ValueError):
+                d.multiple_synthesis(counts, 1.0, 2, "trunc", d.RandomStream(27))
 
 
 @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0])
@@ -399,7 +407,7 @@ class TestDrawsTaken:
         seeds = range(150)
         n = sum(self.COUNTS)
         streams = self.streams(seeds)
-        p, _, _ = _proportions_cell(np.tile(np.divide(self.COUNTS, n), (len(seeds), 1)), n, 0.002, mechanism, streams)
+        p, _, _ = _synthesis_cell(np.tile(np.divide(self.COUNTS, n), (len(seeds), 1)), n, 0.002, 1, mechanism, streams)
         seen = set()
         for seed, g, row in zip(seeds, streams, p):
             k = replayed_draws(d.RandomStream(seed).generator(), self.COUNTS, [0.002], mechanism)
