@@ -13,7 +13,10 @@ from __future__ import annotations
 import csv
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import cycle
 from pathlib import Path
 
 import numpy as np
@@ -124,11 +127,12 @@ class SimReport:
     """Replicate rows plus their summary, ready for CSV serialization.
 
     The cov study's rows are :data:`CovRow` and :data:`CovSummary`; the
-    proportion studies' are :data:`PropRow` and :data:`PropSummary`.
+    proportion studies' are :data:`PropRow` and :data:`PropSummary`. The
+    replicates are held as columns, and become row tuples only when read.
     """
 
     study: str
-    replicates: tuple[CovRow | PropRow, ...]
+    replicates: _Rows
     summary: tuple[CovSummary | PropSummary, ...]
 
     def write_csv(self, out_dir) -> tuple[Path, Path]:
@@ -137,16 +141,73 @@ class SimReport:
         out.mkdir(parents=True, exist_ok=True)
         rep_path = out / f"{self.study}_replicates.csv"
         sum_path = out / f"{self.study}_summary.csv"
-        _write_rows(rep_path, self.replicates)
-        _write_rows(sum_path, self.summary)
+        cells = self.replicates._cells
+        with open(rep_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join((CovRow if cells[0].cp is None else PropRow)._fields) + "\n")
+            for cell in cells:
+                fh.writelines(_cell_lines(cell))
+        with open(sum_path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([self.summary[0]._fields, *self.summary])
         return rep_path, sum_path
 
 
-def _write_rows(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(rows[0]._fields)
-        writer.writerows(rows)
+# One cell of a study: the (study, spec, n, eps, mechanism) of each arm, the
+# four stat labels with their (category, truth), empty for cov, and arrays
+# (reps, arms, 4) of sanitized and cp values (cp None for cov, else 1.0, 0.0,
+# or NaN for a degenerate release) with original values that broadcast to
+# that shape. The rows run rep, arm, stat: the arrays' own order.
+_Cell = namedtuple("_Cell", "heads stats tails original sanitized cp", defaults=(None,))
+
+
+def _cell_lines(cell) -> list[str]:
+    """The cell's replicate CSV lines, spelled as csv.writer spells its rows
+    (labels hold no comma, quote or newline; floats go by repr). Each field
+    is spelled once at its own shape, and the lines are the broadcast sums."""
+    heads = np.array([",".join(map(str, head)) + "," for head in cell.heads], dtype=object)[:, None]
+    reps = np.array([f"{rep}," for rep in range(len(cell.sanitized))], dtype=object)[:, None, None]
+    stats = np.array([f"{stat}," for stat in cell.stats], dtype=object)
+    original, sanitized = (np.array(list(map(repr, a.ravel().tolist())), dtype=object).reshape(a.shape)
+                           for a in (cell.original, cell.sanitized))
+    tails = "\n" if cell.cp is None else np.array(
+        [[f",{cat},{truth!r},{cp}\n" for cp in (0, 1, math.nan)] for cat, truth in cell.tails],
+        dtype=object)[range(4), np.where(np.isnan(cell.cp), 2, cell.cp).astype(int)]
+    return (heads + reps + (stats + original + ",") + sanitized + tails).ravel().tolist()
+
+
+class _Rows(Sequence):
+    """A study's replicate rows, held as its cells. The row tuples are built
+    on first read and kept; the length needs none of them."""
+
+    def __init__(self, cells):
+        self._cells = cells
+        self._len = sum(cell.sanitized.size for cell in cells)
+
+    @cached_property
+    def _rows(self) -> tuple:
+        rows = []
+        for cell in self._cells:
+            keys = zip(*[(*head, rep, stat) for rep in range(len(cell.sanitized))
+                         for head in cell.heads for stat in cell.stats])
+            columns = [*keys, np.broadcast_to(cell.original, cell.sanitized.shape).ravel().tolist(),
+                       cell.sanitized.ravel().tolist(),
+                       *map(cycle, zip(*cell.tails))]
+            if cell.cp is None:
+                rows += map(CovRow, *columns)
+            else:
+                rows += map(PropRow, *columns, [c if math.isnan(c) else int(c) for c in cell.cp.ravel().tolist()])
+        return tuple(rows)
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, index):
+        return self._rows[index]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __eq__(self, other):
+        return self._rows == (other._rows if isinstance(other, _Rows) else other)
 
 
 def summarize(rows) -> list[CovSummary | PropSummary]:
@@ -157,41 +218,50 @@ def summarize(rows) -> list[CovSummary | PropSummary]:
     (proportion studies) and against the fixed original otherwise.
     Replicates whose estimate is undefined (NaN, e.g. a correlation after a
     sanitized variance collapsed to zero) are excluded from the moments,
-    quantiles, and coverage of their cell.
+    quantiles, and coverage of their cell. No rows, a mix of row kinds, or
+    a cell whose rows disagree on category or truth raise ``ValueError``.
     """
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no replicate rows to summarize")
-    groups: dict[tuple, list] = {}
-    for row in rows:
-        groups.setdefault((row.study, row.spec, row.n, row.eps, row.mechanism, row.stat), []).append(row)
-
-    prop = isinstance(rows[0], PropRow)
+    if isinstance(rows, _Rows):
+        cells = rows._cells
+    else:
+        rows = list(rows)
+        if len({isinstance(row, PropRow) for row in rows}) != 1:
+            raise ValueError("summarize needs replicate rows, all CovRow or all PropRow")
+        groups: dict[tuple, list] = {}
+        for row in rows:
+            groups.setdefault((*row[:5], row.stat), []).append(row)
+        cells = []
+        for key, grp in groups.items():
+            tails = {row[9:11] for row in grp}  # {(category, truth)}, or {()} for CovRow
+            if len(tails) > 1:
+                raise ValueError(f"rows of cell {key} disagree on category or truth: {tails}")
+            columns = np.array([row[7:9] + row[11:] for row in grp], dtype=float).T[:, :, None, None]
+            cells.append(_Cell((key[:5],), key[5:], tuple(tails), *columns))
     out = []
-    for key, grp in groups.items():
-        est = np.array([r.sanitized for r in grp], dtype=float)
-        orig = np.array([r.original for r in grp], dtype=float)
-        target = float(grp[0].truth) if prop else float(orig.mean())
-        defined = est[~np.isnan(est)]
-        if defined.size:
-            mean = float(defined.mean())
-            q025, q25, q75, q975 = (float(q) for q in np.quantile(defined, (0.025, 0.25, 0.75, 0.975)))
-            bias = mean - target
-            rmse = float(np.sqrt(np.mean((defined - target) ** 2)))
-        else:
-            mean = q025 = q25 = q75 = q975 = bias = rmse = math.nan
-        cells = (*key, float(orig.mean()), mean, q025, q25, q75, q975, bias, rmse)
-        if prop:
-            cps = np.array([r.cp for r in grp], dtype=float)
-            covered = cps[~np.isnan(cps)]
-            out.append(PropSummary(*cells, grp[0].category, target,
-                                   float(covered.mean()) if covered.size else math.nan))
-        else:
-            out.append(CovSummary(*cells))
+    for cell in cells:
+        for a, head in enumerate(cell.heads):
+            for k, (stat, tail) in enumerate(zip(cell.stats, cell.tails)):
+                est, orig = (np.ascontiguousarray(np.broadcast_to(c, cell.sanitized.shape)[:, a, k])
+                             for c in (cell.sanitized, cell.original))
+                target = float(tail[1]) if tail else float(orig.mean())
+                defined = est[~np.isnan(est)]
+                if defined.size:
+                    mean = float(defined.mean())
+                    q025, q25, q75, q975 = (float(q) for q in np.quantile(defined, (0.025, 0.25, 0.75, 0.975)))
+                    bias = mean - target
+                    rmse = float(np.sqrt(np.mean((defined - target) ** 2)))
+                else:
+                    mean = q025 = q25 = q75 = q975 = bias = rmse = math.nan
+                fields = (*head, stat, float(orig.mean()), mean, q025, q25, q75, q975, bias, rmse)
+                if cell.cp is None:
+                    out.append(CovSummary(*fields))
+                    continue
+                covered = cell.cp[:, a, k][~np.isnan(cell.cp[:, a, k])]
+                out.append(PropSummary(*fields, tail[0], target, float(covered.mean()) if covered.size else math.nan))
     return out
 
 
-def _run_cov(config: SimConfig) -> SimReport:
+def _run_cov(config: SimConfig) -> list[_Cell]:
     """Sanitize each fixed covariance scenario ``reps`` times per cell.
 
     Statistics reported per replicate: the two sanitized variances, the
@@ -200,11 +270,10 @@ def _run_cov(config: SimConfig) -> SimReport:
     """
     root = RandomStream(config.seed)
     domain = _STUDIES["cov"].domain
-    stats = ("s11", "s22", "s12", "r")
-    rows: list[CovRow] = []
+    cells = []
     for spec_id in config.specs:
         S, bounds = COV_SPECS[spec_id]
-        originals = (S.s11, S.s22, S.s12, S.correlation)
+        originals = np.array([S.s11, S.s22, S.s12, S.correlation])
         for ie, eps in enumerate(config.eps):
             for n in config.ns:
                 # stream (domain, spec_id, ie, n, im, rep) for mechanism im
@@ -213,22 +282,12 @@ def _run_cov(config: SimConfig) -> SimReport:
                 for mech in config.mechanisms:
                     columns = _covariance_cell(S, n, bounds, eps, mech,
                                                [g for _, g in zip(range(config.reps), streams)])
-                    for rep, values in enumerate(zip(*(c.tolist() for c in columns))):
-                        rows += [CovRow("cov", spec_id, n, eps, mech, rep, stat, original, sanitized)
-                                 for stat, original, sanitized in zip(stats, originals, values)]
-    return SimReport(study="cov", replicates=tuple(rows), summary=tuple(summarize(rows)))
+                    cells.append(_Cell((("cov", spec_id, n, eps, mech),), ("s11", "s22", "s12", "r"), ((),) * 4,
+                                       originals, np.stack(columns, axis=-1)[:, None]))
+    return cells
 
 
-def _coverage(estimate, lo, hi) -> list:
-    """Per replicate, whether each interval covers its category's truth:
-    ints 1 or 0, or four NaNs where the release was degenerate."""
-    truth = np.array(PROP_TRUTH)
-    covered = ((lo <= truth) & (truth <= hi)).astype(int).tolist()
-    nan4 = [math.nan] * 4
-    return [nan4 if math.isnan(e[0]) else c for e, c in zip(estimate.tolist(), covered)]
-
-
-def _run_prop(config: SimConfig) -> SimReport:
+def _run_prop(config: SimConfig) -> list[_Cell]:
     """Redraw multinomial data each replicate and sanitize the proportions.
 
     Reports the sanitized estimates next to the unsanitized baseline
@@ -240,27 +299,25 @@ def _run_prop(config: SimConfig) -> SimReport:
     root = RandomStream(config.seed)
     domain = _STUDIES[config.study].domain
     m = 1 if config.study == "prop" else config.m
-    arms = 1 + len(config.mechanisms)
-    cats = [(f"p{k + 1}", k + 1, t) for k, t in enumerate(PROP_TRUTH)]
-    rows: list[PropRow] = []
+    arms = ("original", *config.mechanisms)
+    truth = np.array(PROP_TRUTH)
+    cells = []
     for ie, eps in enumerate(config.eps):
         for n in config.ns:
-            cell = (config.study, 1, n, eps)
             # stream (domain, ie, n, rep, 0) draws the data, (..., rep, 1 + im)
             # mechanism im's noise
-            streams = list(root.child(domain, ie, n).generators(config.reps, arms))
-            phat = np.array([g.multinomial(n, PROP_TRUTH) for g in streams[::arms]]) / n
-            columns = [("original", phat, _coverage(phat, *_wald(phat, n)))]
-            for im, mech in enumerate(config.mechanisms):
-                estimate, lo, hi = _synthesis_cell(phat, n, eps, m, mech, streams[1 + im::arms])
-                columns.append((mech, estimate, _coverage(estimate, lo, hi)))
-            phat = phat.tolist()
-            columns = [(mech, estimate.tolist(), cps) for mech, estimate, cps in columns]
-            for rep in range(config.reps):
-                for mech, estimate, cps in columns:
-                    rows += [PropRow(*cell, mech, rep, stat, phat[rep][k], estimate[rep][k], category, truth, cps[rep][k])
-                             for k, (stat, category, truth) in enumerate(cats)]
-    return SimReport(study=config.study, replicates=tuple(rows), summary=tuple(summarize(rows)))
+            streams = list(root.child(domain, ie, n).generators(config.reps, len(arms)))
+            phat = np.array([g.multinomial(n, PROP_TRUTH) for g in streams[::len(arms)]]) / n
+            columns = [(phat, *_wald(phat, n))] + [
+                _synthesis_cell(phat, n, eps, m, mech, streams[1 + im::len(arms)])
+                for im, mech in enumerate(config.mechanisms)]
+            sanitized, lo, hi = (np.stack(c, axis=1) for c in zip(*columns))
+            # whether each interval covers its truth; NaN for a degenerate release
+            cp = np.where(np.isnan(sanitized[..., :1]), math.nan, (lo <= truth) & (truth <= hi))
+            heads = tuple((config.study, 1, n, eps, arm) for arm in arms)
+            cells.append(_Cell(heads, ("p1", "p2", "p3", "p4"), tuple(enumerate(PROP_TRUTH, 1)),
+                               phat[:, None], sanitized, cp))
+    return cells
 
 
 # One entry per study: the random-stream domain id (which keeps each
@@ -276,4 +333,5 @@ _STUDIES = {
 
 def run_study(config: SimConfig) -> SimReport:
     """Run the study ``config.study`` names."""
-    return _STUDIES[config.study].run(config)
+    rows = _Rows(_STUDIES[config.study].run(config))
+    return SimReport(study=config.study, replicates=rows, summary=tuple(summarize(rows)))

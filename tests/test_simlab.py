@@ -1,6 +1,8 @@
 """Study runner tests: row bookkeeping, summaries, and CSV output."""
 
+import csv
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -113,6 +115,22 @@ class TestSummarize:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             d.summarize([])
+
+    def test_rejects_mixed_row_kinds(self):
+        # a PropRow's truth and cp must not be dropped under a CovSummary,
+        # whichever kind comes first
+        cov, prop = self.rows([1.0, 2.0]), self.rows([1.0, 2.0], truth=0.5)
+        for rows in (cov + prop, prop + cov):
+            with pytest.raises(ValueError):
+                d.summarize(rows)
+
+    def test_rejects_cell_whose_rows_disagree_on_truth(self):
+        rows = self.rows([1.0], truth=0.5) + self.rows([2.0], truth=0.9)
+        with pytest.raises(ValueError, match="truth"):
+            d.summarize(rows)
+        rows = self.rows([1.0, 2.0], truth=0.5)
+        with pytest.raises(ValueError, match="category"):
+            d.summarize([rows[0], rows[1]._replace(category=2)])
 
 
 class TestCovStudy:
@@ -263,6 +281,67 @@ class TestRowsMatchPublicReleases:
                 assert base.cp == int(lo <= truth <= hi)
                 assert same_bits(row.sanitized, estimate[k])
                 assert row.cp == int(cis[k][0] <= truth <= cis[k][1])
+
+
+def same_fields(a, b) -> bool:
+    """Equal rows, each field of the same type; floats compared by bits."""
+    return type(a) is type(b) and all(
+        type(x) is type(y) and (same_bits(x, y) if type(x) is float else x == y) for x, y in zip(a, b))
+
+
+class TestColumnsMatchRows:
+    """A report holds its replicates as columns. Its CSV text and summary
+    must be what the row tuples give through csv.writer and summarize."""
+
+    @pytest.mark.parametrize("study,kw", [
+        # bit releases at n = 20 leave some correlations undefined (NaN)
+        ("cov", dict(specs=(1, 2), ns=(20, 50), mechanisms=("trunc", "bit"), reps=30, seed=5)),
+        ("prop", dict(ns=(10, 40), eps=(1.0, 0.5), mechanisms=("trunc", "bit"), reps=20, seed=1)),
+        ("prop-ms", dict(ns=(30, 60), eps=(0.5,), mechanisms=("trunc", "bit"), m=3, reps=10, seed=4)),
+        # the config of RETRY_ARGV: degenerate bundles give NaN estimates and NaN cp
+        ("prop-ms", dict(ns=(50,), eps=(0.01,), mechanisms=("bit",), m=10, reps=100, seed=2)),
+    ])
+    def test_writer_and_summary_match_the_row_path(self, tmp_path, study, kw):
+        report = d.run_study(d.SimConfig(study, **kw))
+        rep_path, _ = report.write_csv(tmp_path)
+        rows = list(report.replicates)
+        assert len(rows) == len(report.replicates)
+        retry = kw.get("eps") == (0.01,)
+        assert any(math.isnan(r.sanitized) for r in rows) == (study == "cov" or retry)
+        assert retry == (study != "cov" and any(math.isnan(r.cp) for r in rows))
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows([rows[0]._fields, *rows])
+        assert rep_path.read_text(encoding="utf-8") == text.getvalue()
+        by_rows = d.summarize(rows)
+        assert len(by_rows) == len(report.summary)
+        assert all(same_fields(a, b) for a, b in zip(by_rows, report.summary))
+
+    def test_sim_path_builds_no_row_tuples(self, tmp_path, monkeypatch):
+        # `dpsan sim` runs the study, writes both CSVs and prints the row
+        # count; none of that may build a CovRow or PropRow
+        built = []
+
+        def counted(kind):
+            class Counted(kind):
+                __slots__ = ()
+
+                def __new__(cls, *fields):
+                    built.append(kind.__name__)
+                    return kind.__new__(cls, *fields)
+            return Counted
+
+        for name in ("CovRow", "PropRow"):
+            monkeypatch.setattr(d.simlab, name, counted(getattr(d.simlab, name)))
+        reports = []
+        for study in ("cov", "prop", "prop-ms"):
+            report = d.run_study(small_cfg(study, mechanisms=("trunc", "bit"), m=2))
+            report.write_csv(tmp_path)
+            assert len(report.replicates) > 0
+            reports.append(report)
+        assert built == []
+        # reading the rows does build them, through the patched classes
+        assert [type(r.replicates[0]).__mro__[1].__name__ for r in reports] == ["CovRow", "PropRow", "PropRow"]
+        assert built.count("CovRow") == len(reports[0].replicates)
 
 
 class TestCsvOutput:
