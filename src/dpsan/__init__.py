@@ -53,7 +53,6 @@ from .simlab import (
     SimConfig,
     SimReport,
     run_study,
-    summarize,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +88,6 @@ __all__ = [
     "sanitize_covariance",
     "sanitize_proportions",
     "standard_normal_quantile",
-    "summarize",
     "trunc_laplace_cdf",
     "trunc_laplace_pdf",
     "trunc_laplace_sample",

@@ -38,7 +38,7 @@ class AuditResult:
     ``worst_pair`` holds the neighboring statistic values attaining the
     realized maximum and ``worst_output`` the release value at which the
     density ratio peaks. ``passed`` is exactly ``realized <= nominal +
-    tolerance``.
+    1e-9``.
     """
 
     kind: str
@@ -47,12 +47,11 @@ class AuditResult:
     worst_pair: tuple[float, float]
     worst_output: float
     passed: bool
-    tolerance: float = _DEFAULT_TOL
 
     def __post_init__(self) -> None:
         if self.realized < 0.0:
             raise ValueError(f"realized privacy loss cannot be negative, got {self.realized}")
-        if self.passed != (self.realized <= self.nominal + self.tolerance):
+        if self.passed != (self.realized <= self.nominal + _DEFAULT_TOL):
             raise ValueError("pass flag inconsistent with realized vs nominal comparison")
 
 

@@ -14,7 +14,7 @@ import csv
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import cycle
 from pathlib import Path
@@ -35,7 +35,6 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "run_study",
-    "summarize",
 ]
 
 PROP_TRUTH = (0.1, 0.2, 0.3, 0.4)
@@ -133,7 +132,7 @@ class SimReport:
 
     study: str
     replicates: _Rows
-    summary: tuple[CovSummary | PropSummary, ...]
+    summary: tuple[CovSummary | PropSummary, ...] = field(compare=False)  # a function of the replicates
 
     def write_csv(self, out_dir) -> tuple[Path, Path]:
         """Write <study>_replicates.csv and <study>_summary.csv; returns the paths."""
@@ -174,6 +173,15 @@ def _cell_lines(cell) -> list[str]:
     return (heads + reps + (stats + original + ",") + sanitized + tails).ravel().tolist()
 
 
+def _cell_key(cell) -> tuple:
+    """What the cell's CSV lines are made of: its labels, and its arrays' float
+    bits with every NaN alike (the CSV spells any NaN ``nan``, but tells -0.0
+    from 0.0)."""
+    shape = cell.sanitized.shape
+    arrays = (np.broadcast_to(c, shape) for c in cell[3:] if c is not None)
+    return (*cell[:3], shape, cell.cp is None, *(np.where(np.isnan(a), math.nan, a).tobytes() for a in arrays))
+
+
 class _Rows(Sequence):
     """A study's replicate rows, held as its cells. The row tuples are built
     on first read and kept; the length needs none of them."""
@@ -207,38 +215,17 @@ class _Rows(Sequence):
         return iter(self._rows)
 
     def __eq__(self, other):
-        return self._rows == (other._rows if isinstance(other, _Rows) else other)
+        # equal exactly when the CSV lines are, and with no row built
+        return isinstance(other, _Rows) and [*map(_cell_key, self._cells)] == [*map(_cell_key, other._cells)]
 
 
 def summarize(rows) -> list[CovSummary | PropSummary]:
-    """Aggregate replicate rows into one summary row per cell, in first-seen order.
-
-    Cells are keyed by (study, spec, n, eps, mechanism, stat). Bias and
-    RMSE are taken against the row's truth for :data:`PropRow` input
-    (proportion studies) and against the fixed original otherwise.
-    Replicates whose estimate is undefined (NaN, e.g. a correlation after a
-    sanitized variance collapsed to zero) are excluded from the moments,
-    quantiles, and coverage of their cell. No rows, a mix of row kinds, or
-    a cell whose rows disagree on category or truth raise ``ValueError``.
-    """
-    if isinstance(rows, _Rows):
-        cells = rows._cells
-    else:
-        rows = list(rows)
-        if len({isinstance(row, PropRow) for row in rows}) != 1:
-            raise ValueError("summarize needs replicate rows, all CovRow or all PropRow")
-        groups: dict[tuple, list] = {}
-        for row in rows:
-            groups.setdefault((*row[:5], row.stat), []).append(row)
-        cells = []
-        for key, grp in groups.items():
-            tails = {row[9:11] for row in grp}  # {(category, truth)}, or {()} for CovRow
-            if len(tails) > 1:
-                raise ValueError(f"rows of cell {key} disagree on category or truth: {tails}")
-            columns = np.array([row[7:9] + row[11:] for row in grp], dtype=float).T[:, :, None, None]
-            cells.append(_Cell((key[:5],), key[5:], tuple(tails), *columns))
+    """One summary row per (arm, stat) of each cell of a study's rows, in row
+    order. Bias and RMSE are taken against the stat's truth, or cov's fixed
+    original. Undefined (NaN) estimates and coverage flags are left out of
+    their cell's moments, quantiles and coverage."""
     out = []
-    for cell in cells:
+    for cell in rows._cells:
         for a, head in enumerate(cell.heads):
             for k, (stat, tail) in enumerate(zip(cell.stats, cell.tails)):
                 est, orig = (np.ascontiguousarray(np.broadcast_to(c, cell.sanitized.shape)[:, a, k])

@@ -16,7 +16,7 @@ PUBLIC_API = [
     "SynthesisBundle", "allocate_equal", "audit_mechanism", "bias_order_check",
     "bit_boundary_masses", "bit_laplace_sample", "bit_mean", "bit_second_moment", "compose",
     "covariance_output_bounds", "gs_catalog", "multiple_synthesis", "run_study",
-    "sanitize_covariance", "sanitize_proportions", "standard_normal_quantile", "summarize",
+    "sanitize_covariance", "sanitize_proportions", "standard_normal_quantile",
     "trunc_laplace_cdf", "trunc_laplace_pdf", "trunc_laplace_sample", "trunc_mean",
     "trunc_second_moment", "variance_output_bounds", "wald_ci",
 ]

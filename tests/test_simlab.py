@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import dpsan as d
+from dpsan import simlab
 from dpsan.simlab import CovRow, CovSummary, PropRow, PropSummary
 
 
@@ -63,14 +64,17 @@ class TestSimConfig:
 
 class TestSummarize:
     def rows(self, values, truth=None, cps=None):
-        rows = [CovRow("x", 1, 10, 1.0, "m", i, "s", 3.0, v) for i, v in enumerate(values)]
+        # one cell of one arm and stat "s", with original 3, as a study holds it
+        sanitized = np.array(values, dtype=float)[:, None, None]
         if truth is None:
-            return rows
-        return [PropRow(*r, 1, truth, cp) for r, cp in zip(rows, cps or [1] * len(rows))]
+            return simlab._Rows([simlab._Cell((("x", 1, 10, 1.0, "m"),), ("s",), ((),), np.array([3.0]), sanitized)])
+        cp = np.array(cps or [1] * len(values), dtype=float)[:, None, None]
+        return simlab._Rows([simlab._Cell((("x", 1, 10, 1.0, "m"),), ("s",), ((1, truth),), np.array([3.0]),
+                                          sanitized, cp)])
 
     def test_five_point_fixture(self):
         # sanitized 1..5 against original 3: mean 3, bias 0, rmse sqrt(2)
-        out = d.summarize(self.rows([1.0, 2.0, 3.0, 4.0, 5.0]))
+        out = simlab.summarize(self.rows([1.0, 2.0, 3.0, 4.0, 5.0]))
         assert len(out) == 1
         row = out[0]
         assert row.mean == 3.0
@@ -83,54 +87,35 @@ class TestSummarize:
         assert row.q975 == pytest.approx(4.9, abs=1e-12)
 
     def test_truth_overrides_original_as_target(self):
-        out = d.summarize(self.rows([1.0, 2.0, 3.0], truth=2.0))
+        out = simlab.summarize(self.rows([1.0, 2.0, 3.0], truth=2.0))
         assert out[0].bias == 0.0
         assert out[0].truth == 2.0
         assert out[0].cp == 1.0
 
     def test_rmse_decomposes_into_bias_and_spread(self):
         vals = list(np.random.default_rng(5).normal(2.0, 0.3, 400))
-        out = d.summarize(self.rows(vals))[0]
+        out = simlab.summarize(self.rows(vals))[0]
         spread = float(np.var(np.asarray(vals)))  # population variance
         assert out.rmse ** 2 == pytest.approx(out.bias ** 2 + spread, abs=1e-10)
 
     def test_nan_estimates_are_excluded(self):
-        out = d.summarize(self.rows([1.0, math.nan, 5.0]))[0]
+        out = simlab.summarize(self.rows([1.0, math.nan, 5.0]))[0]
         assert out.mean == 3.0
         assert not math.isnan(out.rmse)
 
     def test_all_nan_cell_stays_nan(self):
-        out = d.summarize(self.rows([math.nan, math.nan]))[0]
+        out = simlab.summarize(self.rows([math.nan, math.nan]))[0]
         assert math.isnan(out.mean) and math.isnan(out.rmse)
 
     def test_nan_coverage_flags_are_excluded(self):
         rows = self.rows([0.5, 0.5, 0.5], truth=0.5, cps=[1, 0, math.nan])
-        assert d.summarize(rows)[0].cp == 0.5
+        assert simlab.summarize(rows)[0].cp == 0.5
 
     def test_groups_stay_in_first_seen_order(self):
-        rows = self.rows([1.0]) + [CovRow("x", 1, 10, 1.0, "m", 0, "t", 0.0, 0.0)]
-        out = d.summarize(rows)
+        rows = simlab._Rows([simlab._Cell((("x", 1, 10, 1.0, "m"),), ("s", "t"), ((), ()), np.array([3.0, 0.0]),
+                                          np.array([[[1.0, 0.0]]]))])
+        out = simlab.summarize(rows)
         assert [r.stat for r in out] == ["s", "t"]
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            d.summarize([])
-
-    def test_rejects_mixed_row_kinds(self):
-        # a PropRow's truth and cp must not be dropped under a CovSummary,
-        # whichever kind comes first
-        cov, prop = self.rows([1.0, 2.0]), self.rows([1.0, 2.0], truth=0.5)
-        for rows in (cov + prop, prop + cov):
-            with pytest.raises(ValueError):
-                d.summarize(rows)
-
-    def test_rejects_cell_whose_rows_disagree_on_truth(self):
-        rows = self.rows([1.0], truth=0.5) + self.rows([2.0], truth=0.9)
-        with pytest.raises(ValueError, match="truth"):
-            d.summarize(rows)
-        rows = self.rows([1.0, 2.0], truth=0.5)
-        with pytest.raises(ValueError, match="category"):
-            d.summarize([rows[0], rows[1]._replace(category=2)])
 
 
 class TestCovStudy:
@@ -143,8 +128,12 @@ class TestCovStudy:
         # 2 ns x 2 mechanisms x 4 stats summary cells
         assert len(rep.summary) == 16
 
-    def test_reproducible_from_seed(self):
-        cfg = small_cfg("cov")
+    @pytest.mark.parametrize("cfg", [
+        small_cfg("cov"),
+        # bit releases at n = 20 leave 55 correlations undefined (NaN)
+        d.SimConfig("cov", specs=(1, 2), ns=(20,), mechanisms=("trunc", "bit"), reps=40, seed=5),
+    ], ids=["defined", "nan-cells"])
+    def test_reproducible_from_seed(self, cfg):
         a, b = d.run_study(cfg), d.run_study(cfg)
         assert a == b
 
@@ -289,9 +278,37 @@ def same_fields(a, b) -> bool:
         type(x) is type(y) and (same_bits(x, y) if type(x) is float else x == y) for x, y in zip(a, b))
 
 
+def summarize_rows(rows) -> list:
+    """The summary of replicate row tuples: rows grouped by (study, spec, n,
+    eps, mechanism, stat) in first-seen order, each group through the numpy
+    calls that summarize makes on its cell columns."""
+    groups = {}
+    for row in rows:
+        groups.setdefault((*row[:5], row.stat), []).append(row)
+    out = []
+    for key, grp in groups.items():
+        est, orig = (np.array([getattr(r, name) for r in grp], dtype=float) for name in ("sanitized", "original"))
+        target = grp[0].truth if type(grp[0]) is PropRow else float(orig.mean())
+        defined = est[~np.isnan(est)]
+        if defined.size:
+            mean = float(defined.mean())
+            quantiles = [float(q) for q in np.quantile(defined, (0.025, 0.25, 0.75, 0.975))]
+            bias, rmse = mean - target, float(np.sqrt(np.mean((defined - target) ** 2)))
+        else:
+            mean, quantiles, bias, rmse = math.nan, [math.nan] * 4, math.nan, math.nan
+        fields = (*key, float(orig.mean()), mean, *quantiles, bias, rmse)
+        if type(grp[0]) is CovRow:
+            out.append(CovSummary(*fields))
+            continue
+        cp = np.array([r.cp for r in grp], dtype=float)
+        covered = cp[~np.isnan(cp)]
+        out.append(PropSummary(*fields, grp[0].category, target, float(covered.mean()) if covered.size else math.nan))
+    return out
+
+
 class TestColumnsMatchRows:
     """A report holds its replicates as columns. Its CSV text and summary
-    must be what the row tuples give through csv.writer and summarize."""
+    must be what the row tuples give through csv.writer and summarize_rows."""
 
     @pytest.mark.parametrize("study,kw", [
         # bit releases at n = 20 leave some correlations undefined (NaN)
@@ -312,7 +329,7 @@ class TestColumnsMatchRows:
         text = io.StringIO()
         csv.writer(text, lineterminator="\n").writerows([rows[0]._fields, *rows])
         assert rep_path.read_text(encoding="utf-8") == text.getvalue()
-        by_rows = d.summarize(rows)
+        by_rows = summarize_rows(rows)
         assert len(by_rows) == len(report.summary)
         assert all(same_fields(a, b) for a, b in zip(by_rows, report.summary))
 
@@ -334,9 +351,12 @@ class TestColumnsMatchRows:
             monkeypatch.setattr(d.simlab, name, counted(getattr(d.simlab, name)))
         reports = []
         for study in ("cov", "prop", "prop-ms"):
-            report = d.run_study(small_cfg(study, mechanisms=("trunc", "bit"), m=2))
+            cfg = small_cfg(study, mechanisms=("trunc", "bit"), m=2)
+            report = d.run_study(cfg)
             report.write_csv(tmp_path)
             assert len(report.replicates) > 0
+            # nor may comparing two reports
+            assert report == d.run_study(cfg)
             reports.append(report)
         assert built == []
         # reading the rows does build them, through the patched classes
