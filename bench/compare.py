@@ -16,6 +16,13 @@ file, the pairs the change won: ``values[i]`` of the two sides form pair
 gain is claimable when the change wins at least 9 of 10 pairs and its
 median beats the parent's by more than ``q3 - q1``; the ``claim`` column
 says whether it is.
+
+The ``worse`` column gives the no-regression verdict for each end-to-end
+metric, against its ``bound`` in ``BENCHMARK.json`` (a fraction of the old
+median): ``yes`` when the new median is worse than the old one by more than
+the bound; ``unresolved`` when the old side's own spread, ``q3 - q1``, is
+wider than the bound and not every new run beats every old run; ``no``
+otherwise. Per-layer metrics have no bound and read ``n/a``.
 """
 
 import json
@@ -31,15 +38,28 @@ def load(path: str, side: str) -> dict:
         return json.load(fh)["sides"][side]["workloads"]
 
 
-def directions() -> dict:
-    """Metric name -> "lower" or "higher", whichever is better."""
+def directions() -> tuple[dict, dict]:
+    """Metric name -> "lower" or "higher", whichever is better; and each
+    end-to-end metric's name -> its bound."""
     spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return ({m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]},
+            {m["name"]: m["bound"] for m in spec["end_to_end"]})
 
 
 def won(old: list, new: list, better: str) -> int:
     """Pairs in which the new value is strictly better than the old one."""
     return sum(b < a if better == "lower" else b > a for a, b in zip(old, new))
+
+
+def worse(old: dict, new: dict, better: str, bound: float, spread: float) -> str:
+    """The no-regression verdict on one metric: "yes", "unresolved" or "no"."""
+    margin = bound * abs(old["median"])
+    loss = new["median"] - old["median"] if better == "lower" else old["median"] - new["median"]
+    if loss > margin:
+        return "yes"
+    if spread > margin and not all(won([a], [b], better) for a in old["values"] for b in new["values"]):
+        return "unresolved"
+    return "no"
 
 
 def main(argv: list[str]) -> int:
@@ -50,9 +70,9 @@ def main(argv: list[str]) -> int:
         old, new = load(argv[0], "parent"), load(argv[0], "change")
     else:
         old, new = load(argv[0], "change"), load(argv[1], "change")
-    better = directions()
+    better, bounds = directions()
     print(f"{'workload':<10} {'metric':<42} {'old':>12} {'new':>12} {'delta':>9} "
-          f"{'old q1':>12} {'old q3':>12} {'won':>6} {'claim':>5}  unit")
+          f"{'old q1':>12} {'old q3':>12} {'won':>6} {'worse':>10} {'claim':>5}  unit")
     for workload in sorted(old.keys() & new.keys()):
         for name in sorted(old[workload].keys() & new[workload].keys()):
             a, b = old[workload][name], new[workload][name]
@@ -60,13 +80,14 @@ def main(argv: list[str]) -> int:
             q1, _, q3 = (statistics.quantiles(a["values"], n=4, method="inclusive")
                          if len(a["values"]) > 1 else [a["median"]] * 3)
             pairs, claim = "n/a", "n/a"
+            verdict = worse(a, b, better[name], bounds[name], q3 - q1) if name in bounds else "n/a"
             if len(argv) == 1 and name in better:
                 wins = won(a["values"], b["values"], better[name])
                 gap = a["median"] - b["median"] if better[name] == "lower" else b["median"] - a["median"]
                 pairs = f"{wins}/{len(a['values'])}"
                 claim = "yes" if 10 * wins >= 9 * len(a["values"]) and gap > q3 - q1 else "no"
             print(f"{workload:<10} {name:<42} {a['median']:>12.6g} {b['median']:>12.6g} {delta} "
-                  f"{q1:>12.6g} {q3:>12.6g} {pairs:>6} {claim:>5}  {b['unit']}")
+                  f"{q1:>12.6g} {q3:>12.6g} {pairs:>6} {verdict:>10} {claim:>5}  {b['unit']}")
     return 0
 
 

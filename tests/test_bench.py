@@ -1,7 +1,11 @@
 """``bench/compare.py`` read on a committed benchmark result."""
 
 import importlib.util
+import json
+import statistics
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,3 +30,40 @@ def test_claim_column_on_committed_result(capsys):
     assert claims["studies", "run_s"] == "yes"
     assert claims["analysis", "run_s"] == "no"
     assert set(claims.values()) <= {"yes", "no"}
+
+
+def worse_column(capsys, path) -> dict:
+    assert load_compare().main([str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[-3:] == ["worse", "claim", "unit"]
+    return {(cells[0], cells[1]): cells[-3] for cells in map(str.split, lines[1:])}
+
+
+def test_worse_column_on_committed_result(capsys):
+    # BENCH_14.json: no end-to-end metric of either workload regressed
+    verdicts = worse_column(capsys, ROOT / "BENCH_14.json")
+    end_to_end = {"setup_s", "run_s", "peak_rss_mb", "ok_frac"}
+    assert {verdicts[w, m] for w in ("studies", "analysis") for m in end_to_end} == {"no"}
+    assert {v for (_, m), v in verdicts.items() if m not in end_to_end} == {"n/a"}
+
+
+@pytest.mark.parametrize("metric,parent,change,verdict", [
+    # run_s bound 0.25 of the parent median: a steady parent, and a change
+    # 30% slower, then one 15% slower
+    ("run_s", [2.0] * 10, [2.6] * 10, "yes"),
+    ("run_s", [4.0] * 10, [4.6] * 10, "no"),
+    # ok_frac is better higher, bound 0.0001
+    ("ok_frac", [1.0] * 10, [0.99] * 10, "yes"),
+    # the parent's quartiles lie 0.35 apart, wider than the bound, and the
+    # change runs no faster than every parent run
+    ("run_s", [0.6, 0.7, 0.8, 0.9, 1.0, 1.0, 1.1, 1.2, 1.3, 1.4], [1.0] * 10, "unresolved"),
+    # as wide a parent, but every change run beats every parent run
+    ("run_s", [0.6, 0.7, 0.8, 0.9, 1.0, 1.0, 1.1, 1.2, 1.3, 1.4], [0.5] * 10, "no"),
+])
+def test_worse_column_verdicts(capsys, tmp_path, metric, parent, change, verdict):
+    path = tmp_path / "BENCH.json"
+    path.write_text(json.dumps({"sides": {
+        side: {"workloads": {"studies": {metric: {"unit": "x", "median": statistics.median(values),
+                                                  "values": values}}}}
+        for side, values in (("parent", parent), ("change", change))}}), encoding="utf-8")
+    assert worse_column(capsys, path) == {("studies", metric): verdict}

@@ -65,12 +65,12 @@ class TestSimConfig:
 class TestSummarize:
     def rows(self, values, truth=None, cps=None):
         # one cell of one arm and stat "s", with original 3, as a study holds it
-        sanitized = np.array(values, dtype=float)[:, None, None]
-        if truth is None:
-            return simlab._Rows([simlab._Cell((("x", 1, 10, 1.0, "m"),), ("s",), ((),), np.array([3.0]), sanitized)])
-        cp = np.array(cps or [1] * len(values), dtype=float)[:, None, None]
-        return simlab._Rows([simlab._Cell((("x", 1, 10, 1.0, "m"),), ("s",), ((1, truth),), np.array([3.0]),
-                                          sanitized, cp)])
+        def column(v):
+            return np.array(v, dtype=float)[:, None, None]
+        tails, cp = ((),), None
+        if truth is not None:
+            tails, cp = ((1, truth),), column(cps or [1] * len(values))
+        return simlab._Rows([simlab._Cell((("x", 1, 10, 1.0, "m"),), ("s",), tails, np.array([3.0]), column(values), cp)])
 
     def test_five_point_fixture(self):
         # sanitized 1..5 against original 3: mean 3, bias 0, rmse sqrt(2)
