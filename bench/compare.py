@@ -14,8 +14,10 @@ file, the pairs the change won: ``values[i]`` of the two sides form pair
 ``i``, and a pair is won when the change is better in the direction
 ``BENCHMARK.json`` gives for the metric (ties count for neither side). A
 gain is claimable when the change wins at least 9 of 10 pairs and its
-median beats the parent's by more than ``q3 - q1``; the ``claim`` column
-says whether it is.
+median beats the parent's by more than ``q3 - q1`` and by at least
+``MIN_EFFECT`` (1%) of the parent's median; the ``claim`` column says
+whether it is. The minimum effect keeps a steady metric from claiming a
+shift too small to matter, such as a 0.2% change in peak memory.
 
 The ``worse`` column gives the no-regression verdict for each end-to-end
 metric, against its ``bound`` in ``BENCHMARK.json`` (a fraction of the old
@@ -31,6 +33,8 @@ import sys
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+# smallest claimable gain, as a fraction of the parent's median
+MIN_EFFECT = 0.01
 
 
 def load(path: str, side: str) -> dict:
@@ -85,7 +89,8 @@ def main(argv: list[str]) -> int:
                 wins = won(a["values"], b["values"], better[name])
                 gap = a["median"] - b["median"] if better[name] == "lower" else b["median"] - a["median"]
                 pairs = f"{wins}/{len(a['values'])}"
-                claim = "yes" if 10 * wins >= 9 * len(a["values"]) and gap > q3 - q1 else "no"
+                claim = ("yes" if 10 * wins >= 9 * len(a["values"]) and gap > q3 - q1
+                         and gap >= MIN_EFFECT * abs(a["median"]) else "no")
             print(f"{workload:<10} {name:<42} {a['median']:>12.6g} {b['median']:>12.6g} {delta} "
                   f"{q1:>12.6g} {q3:>12.6g} {pairs:>6} {verdict:>10} {claim:>5}  {b['unit']}")
     return 0

@@ -13,10 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import namedtuple
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import cycle
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +25,6 @@ from .sensitivity import AttributeBounds
 __all__ = [
     "PROP_TRUTH",
     "COV_SPECS",
-    "CovRow",
-    "PropRow",
     "CovSummary",
     "PropSummary",
     "SimConfig",
@@ -55,11 +50,12 @@ COV_SPECS = {
     ),
 }
 
-# Study rows: each field is a CSV column, in CSV order. Every cell is
+# The replicate CSV columns, in order; the cov study's stop before category.
+_REP_FIELDS = ("study", "spec", "n", "eps", "mechanism", "rep", "stat", "original", "sanitized",
+               "category", "truth", "cp")
+# Summary rows: each field is a CSV column, in CSV order. Every cell is
 # exactly a str, int or float, which csv.writer writes as the study CSVs
 # spell them (an int through str, a float through repr, so NaN as "nan").
-CovRow = namedtuple("CovRow", "study spec n eps mechanism rep stat original sanitized")
-PropRow = namedtuple("PropRow", CovRow._fields + ("category", "truth", "cp"))
 CovSummary = namedtuple("CovSummary", "study spec n eps mechanism stat original "
                                       "mean q025 q25 q75 q975 bias rmse")
 PropSummary = namedtuple("PropSummary", CovSummary._fields + ("category", "truth", "cp"))
@@ -125,9 +121,9 @@ class SimConfig:
 class SimReport:
     """Replicate rows plus their summary, ready for CSV serialization.
 
-    The cov study's rows are :data:`CovRow` and :data:`CovSummary`; the
-    proportion studies' are :data:`PropRow` and :data:`PropSummary`. The
-    replicates are held as columns, and become row tuples only when read.
+    The replicates are held as columns, one set per study cell. The cov
+    study's summary rows are :data:`CovSummary`; the proportion studies'
+    are :data:`PropSummary`.
     """
 
     study: str
@@ -142,7 +138,7 @@ class SimReport:
         sum_path = out / f"{self.study}_summary.csv"
         cells = self.replicates._cells
         with open(rep_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join((CovRow if cells[0].cp is None else PropRow)._fields) + "\n")
+            fh.write(",".join(_REP_FIELDS[:9] if cells[0].cp is None else _REP_FIELDS) + "\n")
             for cell in cells:
                 fh.writelines(_cell_lines(cell))
         with open(sum_path, "w", encoding="utf-8", newline="") as fh:
@@ -182,40 +178,19 @@ def _cell_key(cell) -> tuple:
     return (*cell[:3], shape, cell.cp is None, *(np.where(np.isnan(a), math.nan, a).tobytes() for a in arrays))
 
 
-class _Rows(Sequence):
-    """A study's replicate rows, held as its cells. The row tuples are built
-    on first read and kept; the length needs none of them."""
+class _Rows:
+    """A study's replicate rows, held as its cells; the length counts one
+    per CSV row."""
 
     def __init__(self, cells):
         self._cells = cells
         self._len = sum(cell.sanitized.size for cell in cells)
 
-    @cached_property
-    def _rows(self) -> tuple:
-        rows = []
-        for cell in self._cells:
-            keys = zip(*[(*head, rep, stat) for rep in range(len(cell.sanitized))
-                         for head in cell.heads for stat in cell.stats])
-            columns = [*keys, np.broadcast_to(cell.original, cell.sanitized.shape).ravel().tolist(),
-                       cell.sanitized.ravel().tolist(),
-                       *map(cycle, zip(*cell.tails))]
-            if cell.cp is None:
-                rows += map(CovRow, *columns)
-            else:
-                rows += map(PropRow, *columns, [c if math.isnan(c) else int(c) for c in cell.cp.ravel().tolist()])
-        return tuple(rows)
-
     def __len__(self):
         return self._len
 
-    def __getitem__(self, index):
-        return self._rows[index]
-
-    def __iter__(self):
-        return iter(self._rows)
-
     def __eq__(self, other):
-        # equal exactly when the CSV lines are, and with no row built
+        # equal exactly when the CSV lines are
         return isinstance(other, _Rows) and [*map(_cell_key, self._cells)] == [*map(_cell_key, other._cells)]
 
 

@@ -1,12 +1,14 @@
-"""Shared oracles and parameter grids.
+"""Shared oracles, parameter grids and the study replicate row reference.
 
 The quadrature oracles below integrate the raw Laplace kernel directly and
 renormalize numerically. They never touch the package's normalizing
 constants or closed-form expressions, so they can arbitrate them.
 """
 
+import itertools
 import math
 import warnings
+from collections import namedtuple
 
 import numpy as np
 from scipy import integrate
@@ -66,6 +68,31 @@ def bit_moments_oracle(s, lam, c0, c1):
     mean = p0 * c0 + p1 * c1 + density * i1
     second = p0 * c0**2 + p1 * c1**2 + density * i2
     return mean, second
+
+
+# A study's replicate rows as tuples: each field is a CSV column, in CSV
+# order, and exactly a str, int or float, as csv.writer spells the study CSVs.
+CovRow = namedtuple("CovRow", "study spec n eps mechanism rep stat original sanitized")
+PropRow = namedtuple("PropRow", CovRow._fields + ("category", "truth", "cp"))
+
+
+def replicate_rows(report) -> list:
+    """A report's replicate rows, one CovRow or PropRow per CSV row and in
+    CSV order, built field by field from its cells: the reference that the
+    CSV writer and summarize are checked against, and what tests read rows
+    from."""
+    rows = []
+    for cell in report.replicates._cells:
+        keys = zip(*[(*head, rep, stat) for rep in range(len(cell.sanitized))
+                     for head in cell.heads for stat in cell.stats])
+        columns = [*keys, np.broadcast_to(cell.original, cell.sanitized.shape).ravel().tolist(),
+                   cell.sanitized.ravel().tolist(),
+                   *map(itertools.cycle, zip(*cell.tails))]
+        if cell.cp is None:
+            rows += map(CovRow, *columns)
+        else:
+            rows += map(PropRow, *columns, [c if math.isnan(c) else int(c) for c in cell.cp.ravel().tolist()])
+    return rows
 
 
 def rejection_trunc_sample(s, lam, c0, c1, rng, count):

@@ -21,7 +21,7 @@ import pytest
 from scipy import optimize, stats
 
 import dpsan as d
-from conftest import bit_moments_oracle, random_tuples, trunc_moments_oracle
+from conftest import bit_moments_oracle, random_tuples, replicate_rows, trunc_moments_oracle
 
 ACCEPT_SEED = 2
 PROP_NS = (50, 100, 200, 300, 400, 500)
@@ -151,9 +151,10 @@ def test_criterion_06_covariance_study_trends(cov_run):
 
     # (c) under the uncorrelated scenario the released cross-covariance is
     # centered on zero within its own Monte Carlo confidence interval
+    rows = replicate_rows(report)
     for r in report.summary:
         if r.spec == 1 and r.stat == "s12":
-            grp = np.array([x.sanitized for x in report.replicates
+            grp = np.array([x.sanitized for x in rows
                             if x.spec == 1 and x.stat == "s12"
                             and x.n == r.n and x.mechanism == r.mechanism])
             se = grp.std(ddof=1) / math.sqrt(grp.size)
@@ -312,7 +313,7 @@ def test_criterion_12_variance_releases_match_their_closed_form_means(cov_run):
     K = 3.66
     report, _ = cov_run
     moments = {"trunc": (d.trunc_mean, d.trunc_second_moment), "bit": (d.bit_mean, d.bit_second_moment)}
-    reps = Counter((r.spec, r.n, r.mechanism, r.stat) for r in report.replicates)
+    reps = Counter((r.spec, r.n, r.mechanism, r.stat) for r in replicate_rows(report))
     z = {}
     for r in report.summary:
         if r.stat not in ("s11", "s22"):

@@ -70,8 +70,8 @@ def test_benchmark_tracer_leaves_release_kernels_unwrapped():
 
 def test_benchmark_tracer_counts_study_rows(tmp_path):
     # the traced run takes len() of summarize's argument and of a report's
-    # replicates and summary as row counts, so rows must stay a sequence
-    # with one item per CSV row
+    # replicates and summary as row counts, so each needs a len that counts
+    # one per CSV row
     t = load_tracer().Tracer().install(dpsan)
     try:
         assert dpsan.cli.main(["sim", "prop", "--n", "10", "--eps", "1", "--reps", "2",

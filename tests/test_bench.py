@@ -32,6 +32,21 @@ def test_claim_column_on_committed_result(capsys):
     assert set(claims.values()) <= {"yes", "no"}
 
 
+@pytest.mark.parametrize("bench,metric,claim", [
+    # peak RSS won 9/10 and 10/10 pairs beyond the parent's quartile spread,
+    # but by 0.2% and 0.1%, under the 1% minimum effect
+    ("BENCH_15.json", "peak_rss_mb", "no"),
+    ("BENCH_11.json", "peak_rss_mb", "no"),
+    # run_s fell 1.80 -> 0.78 s, 10/10 pairs
+    ("BENCH_14.json", "run_s", "yes"),
+])
+def test_claim_needs_a_minimum_effect(capsys, bench, metric, claim):
+    assert load_compare().main([str(ROOT / bench)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    claims = {(cells[0], cells[1]): cells[-2] for cells in map(str.split, lines[1:])}
+    assert claims["studies", metric] == claim
+
+
 def worse_column(capsys, path) -> dict:
     assert load_compare().main([str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -10,7 +10,8 @@ import pytest
 
 import dpsan as d
 from dpsan import simlab
-from dpsan.simlab import CovRow, CovSummary, PropRow, PropSummary
+from conftest import CovRow, PropRow, replicate_rows
+from dpsan.simlab import CovSummary, PropSummary
 
 
 def small_cfg(study, **kw):
@@ -124,7 +125,7 @@ class TestCovStudy:
         rep = d.run_study(cfg)
         # 1 spec x 1 eps x 2 ns x 2 mechanisms x 5 reps x 4 stats
         assert len(rep.replicates) == 1 * 1 * 2 * 2 * 5 * 4
-        assert {r.stat for r in rep.replicates} == {"s11", "s22", "s12", "r"}
+        assert {r.stat for r in replicate_rows(rep)} == {"s11", "s22", "s12", "r"}
         # 2 ns x 2 mechanisms x 4 stats summary cells
         assert len(rep.summary) == 16
 
@@ -132,7 +133,9 @@ class TestCovStudy:
         small_cfg("cov"),
         # bit releases at n = 20 leave 55 correlations undefined (NaN)
         d.SimConfig("cov", specs=(1, 2), ns=(20,), mechanisms=("trunc", "bit"), reps=40, seed=5),
-    ], ids=["defined", "nan-cells"])
+        small_cfg("prop", mechanisms=("trunc", "bit")),
+        small_cfg("prop-ms", mechanisms=("trunc", "bit"), m=2),
+    ], ids=["defined", "nan-cells", "prop", "prop-ms"])
     def test_reproducible_from_seed(self, cfg):
         a, b = d.run_study(cfg), d.run_study(cfg)
         assert a == b
@@ -145,7 +148,7 @@ class TestCovStudy:
     def test_original_column_is_the_fixed_matrix(self):
         rep = d.run_study(small_cfg("cov", specs=(2,)))
         S = d.COV_SPECS[2][0]
-        originals = {r.stat: r.original for r in rep.replicates}
+        originals = {r.stat: r.original for r in replicate_rows(rep)}
         assert originals["s11"] == S.s11 and originals["s22"] == S.s22
         assert originals["s12"] == S.s12 and originals["r"] == S.correlation
 
@@ -156,17 +159,17 @@ class TestPropStudies:
         rep = d.run_study(cfg)
         # per replicate: (1 baseline + 2 mechanisms) x 4 categories
         assert len(rep.replicates) == 2 * 5 * 3 * 4
-        assert {r.mechanism for r in rep.replicates} == {"original", "trunc", "bit"}
+        assert {r.mechanism for r in replicate_rows(rep)} == {"original", "trunc", "bit"}
 
     def test_baseline_rows_echo_the_sample(self):
         rep = d.run_study(small_cfg("prop"))
-        for r in rep.replicates:
+        for r in replicate_rows(rep):
             if r.mechanism == "original":
                 assert r.sanitized == r.original
 
     def test_truth_and_category_attached(self):
         rep = d.run_study(small_cfg("prop"))
-        for r in rep.replicates:
+        for r in replicate_rows(rep):
             assert r.truth == d.PROP_TRUTH[r.category - 1]
             assert r.cp in (0, 1) or math.isnan(r.cp)
 
@@ -175,7 +178,7 @@ class TestPropStudies:
         # describe the same underlying multinomial sample
         rep = d.run_study(small_cfg("prop", mechanisms=("trunc", "bit")))
         by_key = {}
-        for r in rep.replicates:
+        for r in replicate_rows(rep):
             by_key.setdefault((r.n, r.rep, r.category), set()).add(r.original)
         assert all(len(v) == 1 for v in by_key.values())
 
@@ -192,7 +195,7 @@ class TestPropStudies:
         cfg = d.SimConfig("prop", ns=(40,), eps=(0.001,), mechanisms=("bit",), reps=400, seed=1)
         rep = d.run_study(cfg)
         assert len(rep.replicates) == 400 * 2 * 4
-        sanitized = [r for r in rep.replicates if r.mechanism == "bit"]
+        sanitized = [r for r in replicate_rows(rep) if r.mechanism == "bit"]
         nan_rows = [r for r in sanitized if math.isnan(r.sanitized)]
         assert len(nan_rows) == 3 * 4
         assert all(math.isnan(r.cp) for r in nan_rows)
@@ -209,7 +212,7 @@ class TestRowsMatchPublicReleases:
 
     def test_cov(self):
         cfg = d.SimConfig("cov", specs=(1, 2), ns=(20,), mechanisms=("trunc", "bit"), reps=40, seed=5)
-        rows = d.run_study(cfg).replicates
+        rows = replicate_rows(d.run_study(cfg))
         domain = d.simlab._STUDIES["cov"].domain
         releases = {}
         for r in rows:
@@ -235,7 +238,7 @@ class TestRowsMatchPublicReleases:
     ])
     def test_prop(self, study, kw, degenerate):
         cfg = d.SimConfig(study, **kw)
-        rows = d.run_study(cfg).replicates
+        rows = replicate_rows(d.run_study(cfg))
         domain = d.simlab._STUDIES[study].domain
         releases = {}
         for r in rows:
@@ -308,7 +311,8 @@ def summarize_rows(rows) -> list:
 
 class TestColumnsMatchRows:
     """A report holds its replicates as columns. Its CSV text and summary
-    must be what the row tuples give through csv.writer and summarize_rows."""
+    must be what the reference row tuples of replicate_rows give through
+    csv.writer and summarize_rows."""
 
     @pytest.mark.parametrize("study,kw", [
         # bit releases at n = 20 leave some correlations undefined (NaN)
@@ -321,7 +325,7 @@ class TestColumnsMatchRows:
     def test_writer_and_summary_match_the_row_path(self, tmp_path, study, kw):
         report = d.run_study(d.SimConfig(study, **kw))
         rep_path, _ = report.write_csv(tmp_path)
-        rows = list(report.replicates)
+        rows = replicate_rows(report)
         assert len(rows) == len(report.replicates)
         retry = kw.get("eps") == (0.01,)
         assert any(math.isnan(r.sanitized) for r in rows) == (study == "cov" or retry)
@@ -332,36 +336,6 @@ class TestColumnsMatchRows:
         by_rows = summarize_rows(rows)
         assert len(by_rows) == len(report.summary)
         assert all(same_fields(a, b) for a, b in zip(by_rows, report.summary))
-
-    def test_sim_path_builds_no_row_tuples(self, tmp_path, monkeypatch):
-        # `dpsan sim` runs the study, writes both CSVs and prints the row
-        # count; none of that may build a CovRow or PropRow
-        built = []
-
-        def counted(kind):
-            class Counted(kind):
-                __slots__ = ()
-
-                def __new__(cls, *fields):
-                    built.append(kind.__name__)
-                    return kind.__new__(cls, *fields)
-            return Counted
-
-        for name in ("CovRow", "PropRow"):
-            monkeypatch.setattr(d.simlab, name, counted(getattr(d.simlab, name)))
-        reports = []
-        for study in ("cov", "prop", "prop-ms"):
-            cfg = small_cfg(study, mechanisms=("trunc", "bit"), m=2)
-            report = d.run_study(cfg)
-            report.write_csv(tmp_path)
-            assert len(report.replicates) > 0
-            # nor may comparing two reports
-            assert report == d.run_study(cfg)
-            reports.append(report)
-        assert built == []
-        # reading the rows does build them, through the patched classes
-        assert [type(r.replicates[0]).__mro__[1].__name__ for r in reports] == ["CovRow", "PropRow", "PropRow"]
-        assert built.count("CovRow") == len(reports[0].replicates)
 
 
 class TestCsvOutput:
@@ -395,18 +369,17 @@ class TestCsvOutput:
         rep_path, _ = rep.write_csv(tmp_path)
         lines = rep_path.read_text(encoding="utf-8").splitlines()
         first = lines[1].split(",")
-        assert float(first[-1]) == rep.replicates[0].sanitized
+        assert float(first[-1]) == replicate_rows(rep)[0].sanitized
 
     @pytest.mark.parametrize("study", ["cov", "prop", "prop-ms"])
     def test_cells_are_exact_csv_types(self, study):
-        # rows go to csv.writer as they are, which spells an exact str, int
-        # or float as the study CSVs do; a bool, a str or float subclass, or
-        # a numpy scalar would be written as other text
+        # summary rows go to csv.writer as they are, which spells an exact
+        # str, int or float as the study CSVs do; a bool, a str or float
+        # subclass, or a numpy scalar would be written as other text
         rep = d.run_study(small_cfg(study, ns=(10,), reps=2, mechanisms=("trunc", "bit"), m=2))
-        kinds = (CovRow, CovSummary) if study == "cov" else (PropRow, PropSummary)
-        for rows, kind in zip((rep.replicates, rep.summary), kinds):
-            assert all(type(r) is kind for r in rows)
-            assert {type(v) for r in rows for v in r} <= {str, int, float}
+        kind = CovSummary if study == "cov" else PropSummary
+        assert all(type(r) is kind for r in rep.summary)
+        assert {type(v) for r in rep.summary for v in r} <= {str, int, float}
 
     def test_newlines_are_lf_only(self, tmp_path):
         rep = d.run_study(small_cfg("cov", reps=2))
