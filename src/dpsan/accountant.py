@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .mechanisms import _count, _positive
+
 __all__ = [
     "BudgetExceededError",
     "LedgerEntry",
@@ -43,10 +45,7 @@ class LedgerEntry:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str) or not self.label:
             raise ValueError(f"label must be a non-empty string, got {self.label!r}")
-        eps = float(self.epsilon)
-        if not math.isfinite(eps) or eps <= 0.0:
-            raise ValueError(f"spend must be finite and positive, got {self.epsilon!r}")
-        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "epsilon", _positive(self.epsilon, "spend"))
         if self.group is not None:
             if not isinstance(self.group, str) or not self.group:
                 raise ValueError(f"group must be None or a non-empty string, got {self.group!r}")
@@ -60,11 +59,8 @@ def allocate_equal(epsilon: float, k: int) -> list[float]:
     ``epsilon`` exactly for every k. Each share differs from ``epsilon / k``
     only at roundoff level.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"share count must be a positive integer, got {k!r}")
-    epsilon = float(epsilon)
-    if not math.isfinite(epsilon) or epsilon <= 0.0:
-        raise ValueError(f"budget must be finite and positive, got {epsilon}")
+    k = _count(k, "share count")
+    epsilon = _positive(epsilon, "budget")
     share = epsilon / k
     shares = [share] * (k - 1)
     # residue via fsum: the one rounding lands below half an ulp of the
@@ -109,10 +105,7 @@ class BudgetLedger:
     """
 
     def __init__(self, total: float):
-        total = float(total)
-        if not math.isfinite(total) or total <= 0.0:
-            raise ValueError(f"total budget must be finite and positive, got {total}")
-        self.total = total
+        self.total = _positive(total, "total budget")
         self._entries: list[LedgerEntry] = []
         self._spent = 0.0
 

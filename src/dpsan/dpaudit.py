@@ -15,13 +15,13 @@ statistics, instead of the O(N^2) of a full pairwise matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .mechanisms import _as_scale, _check_bounds, _normalizer
+from .mechanisms import _count, _normalizer, _positive
+from .sensitivity import AttributeBounds
 
 __all__ = ["AuditResult", "audit_mechanism"]
 
@@ -170,15 +170,11 @@ def audit_mechanism(kind: str, lam, c0: float, c1: float, delta1: float, grid: i
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    lam = _as_scale(lam)
-    c0, c1, delta1 = float(c0), float(c1), float(delta1)
-    if not (math.isfinite(c0) and math.isfinite(c1)):
-        raise ValueError(f"bounds must be finite, got [{c0}, {c1}]")
-    _check_bounds(c0, c1)
-    if not math.isfinite(delta1) or delta1 <= 0.0:
-        raise ValueError(f"sensitivity must be finite and positive, got {delta1}")
-    if not isinstance(grid, int) or isinstance(grid, bool) or grid < 100:
-        raise ValueError(f"grid resolution must be an integer of at least 100, got {grid!r}")
+    lam = _positive(lam, "noise scale")
+    bounds = AttributeBounds(c0, c1)
+    c0, c1 = bounds.c0, bounds.c1
+    delta1 = _positive(delta1, "sensitivity")
+    grid = _count(grid, "grid resolution", 100)
     nominal = delta1 / lam
 
     if kind == "laplace":

@@ -130,6 +130,20 @@ def _is_index(k) -> bool:
     return not isinstance(k, bool) and isinstance(k, (int, np.integer)) and k >= 0
 
 
+def _count(value, what: str, least: int = 1) -> int:
+    """``value`` as an int, refused unless an integer (never a bool) of at least ``least``."""
+    if not (_is_index(value) and value >= least):
+        raise ValueError(f"{what} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _positive(value, what: str) -> float:
+    """``value`` as a float, refused unless a finite positive number (never a bool or text)."""
+    if isinstance(value, (bool, np.bool_, str, bytes)) or not (math.isfinite(x := float(value)) and x > 0.0):
+        raise ValueError(f"{what} must be finite and positive, got {value!r}")
+    return x
+
+
 def _check_extent(k) -> int:
     if not (_is_index(k) and k < 2**32):
         raise ValueError(f"grid extents must be integers in [0, 2**32), got {k!r}")
@@ -160,10 +174,9 @@ class RandomStream:
     ids: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in an unsigned 64-bit word, got {self.seed}")
+        if not (_is_index(self.seed) and self.seed < 2**64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         ids = tuple(self.ids)
         if not all(map(_is_index, ids)):
             raise ValueError(f"stream ids must be nonnegative integers, got {ids!r}")
@@ -222,13 +235,6 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError(f"rng must be a RandomStream or numpy Generator, got {type(rng).__name__}")
 
 
-def _as_scale(lam) -> float:
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise ValueError(f"noise scale must be finite and positive, got {lam}")
-    return lam
-
-
 # the checks reduce with ndarray.all, which costs the scalar calls of the
 # closed forms a third of what np.all does
 def _check_bounds(c0, c1) -> None:
@@ -242,7 +248,7 @@ def _check_support(s, lam, c0, c1) -> float:
 
     ``s``, ``c0`` and ``c1`` may be floats or arrays that broadcast together.
     """
-    lam = _as_scale(lam)
+    lam = _positive(lam, "noise scale")
     _check_bounds(c0, c1)
     if not np.asarray((c0 <= s) & (s <= c1)).all():
         raise ValueError(f"statistic {s} lies outside its bounds [{c0}, {c1}]")
@@ -467,7 +473,7 @@ def standard_normal_quantile(p: float) -> float:
         return math.inf
     # imported here: `statistics` pulls in `fractions` and `decimal` (about
     # 6 ms and 0.5 MB), which every `import dpsan` would pay, while
-    # `pipelines._two_sided_z` calls this only once per confidence level
+    # `pipelines._two_sided_z` calls this only once
     from statistics import NormalDist
 
     return NormalDist().inv_cdf(p)

@@ -148,16 +148,17 @@ class MomentReport:
     tails_underflowed: bool
 
 
-def bias_order_check(s: float, lam, c0: float, c1: float, atol: float = 1e-12) -> MomentReport:
+def bias_order_check(s: float, lam, c0: float, c1: float) -> MomentReport:
     """Compute both releases' moments and check their bias ordering.
 
     The truncated release never shifts the mean less than the BIT release
     does, and the two shifts never point in opposite directions. Violations
     raise AssertionError, which makes the function usable directly as a
-    property check; ``atol`` absorbs roundoff at the symmetric point where
-    both biases vanish.
+    property check; a 1e-12 tolerance absorbs roundoff at the symmetric
+    point where both biases vanish.
     """
     s, d0, d1, lam = _checked(s, lam, c0, c1)
+    tol = 1e-12
     bt = _trunc_bias(d0, d1, lam)
     bb = _bit_bias(d0, d1, lam)
     report = MomentReport(
@@ -169,8 +170,8 @@ def bias_order_check(s: float, lam, c0: float, c1: float, atol: float = 1e-12) -
         bit_bias=bb,
         tails_underflowed=math.exp(-d0 / lam) == 0.0 and math.exp(-d1 / lam) == 0.0,
     )
-    if abs(bt) + atol < abs(bb):
+    if abs(bt) + tol < abs(bb):
         raise AssertionError(f"bias ordering violated at (s={s}, lam={lam}, c0={c0}, c1={c1}): |{bt}| < |{bb}|")
-    if bt * bb < -atol * atol:
+    if bt * bb < -tol * tol:
         raise AssertionError(f"bias signs disagree at (s={s}, lam={lam}, c0={c0}, c1={c1}): {bt} vs {bb}")
     return report

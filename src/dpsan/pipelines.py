@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from .accountant import BudgetLedger, allocate_equal
-from .mechanisms import _as_generator, _Draws, _is_index, _sampler, standard_normal_quantile
+from .mechanisms import _as_generator, _count, _Draws, _is_index, _positive, _sampler, standard_normal_quantile
 from .sensitivity import (
     AttributeBounds,
     covariance_output_bounds,
@@ -252,8 +252,7 @@ def sanitize_proportions(counts, epsilon: float, mechanism: str, rng, ledger: Bu
     cannot cover ``epsilon``; without one nothing is recorded.
     """
     phat, n = _proportions_of(counts)
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"privacy budget must be finite and positive, got {epsilon}")
+    epsilon = _positive(epsilon, "privacy budget")
     _sampler(mechanism)  # an unknown name fails before any spend or draw
     draws = _Draws([_as_generator(rng)])
     if ledger is not None:
@@ -265,25 +264,25 @@ def sanitize_proportions(counts, epsilon: float, mechanism: str, rng, ledger: Bu
     return ProportionVector(tuple(p[0].tolist()))
 
 
-@lru_cache(maxsize=32)
-def _two_sided_z(level: float) -> float:
-    """Normal quantile at ``0.5 + level / 2``, computed once per level."""
-    return standard_normal_quantile(0.5 + 0.5 * level)
+@cache
+def _two_sided_z() -> float:
+    """Normal quantile at 0.975, the z of a two-sided 95% interval."""
+    return standard_normal_quantile(0.975)
 
 
-def _normal_interval(center, variance, level: float):
-    """``center`` plus or minus z sqrt(``variance``) at ``level``, clipped to [0, 1]."""
-    half = _two_sided_z(level) * np.sqrt(variance)
+def _normal_interval(center, variance):
+    """95% interval: ``center`` plus or minus z sqrt(``variance``), clipped to [0, 1]."""
+    half = _two_sided_z() * np.sqrt(variance)
     return np.maximum(0.0, center - half), np.minimum(1.0, center + half)
 
 
-def _wald(p, n: int, level: float = 0.95):
-    """Wald intervals of proportions ``p`` (floats or arrays) from n records."""
-    return _normal_interval(p, p * (1.0 - p) / n, level)
+def _wald(p, n: int):
+    """95% Wald intervals of proportions ``p`` (floats or arrays) from n records."""
+    return _normal_interval(p, p * (1.0 - p) / n)
 
 
-def wald_ci(p: float, n: int, level: float = 0.95) -> tuple[float, float]:
-    """Normal-approximation interval for a proportion, clipped to [0, 1].
+def wald_ci(p: float, n: int) -> tuple[float, float]:
+    """95% normal-approximation interval for a proportion, clipped to [0, 1].
 
     Degenerate at an exact 0 or 1 estimate, where the estimated standard
     error vanishes and the interval collapses to the point.
@@ -291,11 +290,7 @@ def wald_ci(p: float, n: int, level: float = 0.95) -> tuple[float, float]:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"proportion must lie in [0, 1], got {p}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"sample size must be a positive integer, got {n!r}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must lie strictly between 0 and 1, got {level}")
-    lo, hi = _wald(p, n, level)
+    lo, hi = _wald(p, _count(n, "sample size"))
     return float(lo), float(hi)
 
 
@@ -317,17 +312,17 @@ def _synthesize(phat, n: int, shares, mechanism: str, draws, ledger=None):
     return sets
 
 
-def _combine(sets, n: int, level: float):
-    """Estimate, variance and interval of each row's m releases (axis 1)."""
+def _combine(sets, n: int):
+    """Estimate, variance and 95% interval of each row's m releases (axis 1)."""
     m = sets.shape[1]
     pbar = sets.mean(axis=1)
     within = (sets * (1.0 - sets) / n).mean(axis=1)
     between = sets.var(axis=1, ddof=1) if m > 1 else np.zeros_like(pbar)
     variance = within + (1.0 + 1.0 / m) * between
-    return pbar, variance, _normal_interval(pbar, variance, level)
+    return pbar, variance, _normal_interval(pbar, variance)
 
 
-def multiple_synthesis(counts, epsilon: float, m: int, mechanism: str, rng, level: float = 0.95, ledger: BudgetLedger | None = None) -> SynthesisBundle:
+def multiple_synthesis(counts, epsilon: float, m: int, mechanism: str, rng, ledger: BudgetLedger | None = None) -> SynthesisBundle:
     """Release m sanitized proportion vectors and combine them.
 
     The budget is split into m equal sequential shares, one per release,
@@ -337,15 +332,12 @@ def multiple_synthesis(counts, epsilon: float, m: int, mechanism: str, rng, leve
     where W averages the within-release sampling variance ``p (1 - p) / n``
     and B is the between-release sample variance. The interval uses a
     normal reference; with ``m = 1``, B vanishes and the bundle reduces to
-    a single release with its Wald interval.
+    a single release with its Wald interval. Intervals are 95%.
 
     ``ledger``, if given, records one spend per release and refuses them
     when it cannot cover ``epsilon``; without one nothing is recorded.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"release count must be a positive integer, got {m!r}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must lie strictly between 0 and 1, got {level}")
+    m = _count(m, "release count")
     draws = _Draws([_as_generator(rng)])
     shares = allocate_equal(epsilon, m)
     phat, n = _proportions_of(counts)
@@ -354,7 +346,7 @@ def multiple_synthesis(counts, epsilon: float, m: int, mechanism: str, rng, leve
     failed = np.isnan(sets[0, :, 0])
     if failed.any():
         raise _degenerate(n, shares[int(failed.argmax())], mechanism)
-    pbar, variance, (lo, hi) = _combine(sets, n, level)
+    pbar, variance, (lo, hi) = _combine(sets, n)
     return SynthesisBundle(
         m=m,
         estimates=tuple(ProportionVector(tuple(r)) for r in sets[0].tolist()),
@@ -378,5 +370,5 @@ def _synthesis_cell(phat, n, epsilon, m, mechanism, streams):
     stream each) and their 95% interval bounds; a degenerate bundle's row is
     NaN. At m = 1 these are the single release and its Wald interval."""
     sets = _synthesize(phat, n, allocate_equal(epsilon, m), mechanism, _Draws(streams))
-    pbar, _, interval = _combine(sets, n, 0.95)
+    pbar, _, interval = _combine(sets, n)
     return (pbar, *interval)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mechanisms import _check_bounds, _count
+
 __all__ = [
     "AttributeBounds",
     "gs_catalog",
@@ -33,22 +35,13 @@ class AttributeBounds:
         c0, c1 = float(self.c0), float(self.c1)
         if not (math.isfinite(c0) and math.isfinite(c1)):
             raise ValueError(f"bounds must be finite, got [{self.c0}, {self.c1}]")
-        if not c0 < c1:
-            raise ValueError(f"bounds must satisfy c0 < c1, got [{self.c0}, {self.c1}]")
+        _check_bounds(c0, c1)
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "c1", c1)
 
     @property
     def width(self) -> float:
         return self.c1 - self.c0
-
-
-def _check_n(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"sample size must be an integer, got {n!r}")
-    if n < 2:
-        raise ValueError(f"sample size must be at least 2, got {n}")
-    return n
 
 
 def gs_catalog(kind: str, n: int, *bounds: AttributeBounds) -> float:
@@ -65,7 +58,7 @@ def gs_catalog(kind: str, n: int, *bounds: AttributeBounds) -> float:
         ``width^2/n`` for a variance, and the product of the two widths over
         n for a covariance.
     """
-    _check_n(n)
+    n = _count(n, "sample size", 2)
     for b in bounds:
         if not isinstance(b, AttributeBounds):
             raise ValueError(f"bounds must be AttributeBounds, got {type(b).__name__}")
@@ -95,7 +88,7 @@ def variance_output_bounds(n: int, bounds: AttributeBounds) -> tuple[float, floa
     sample evenly across the two endpoints; it decreases toward
     ``width^2 / 4`` as n grows. Uses the n-1 denominator convention.
     """
-    _check_n(n)
+    n = _count(n, "sample size", 2)
     if not isinstance(bounds, AttributeBounds):
         raise ValueError(f"bounds must be AttributeBounds, got {type(bounds).__name__}")
     return 0.0, n * bounds.width ** 2 / (4.0 * (n - 1.0))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mechanisms import MECHANISMS, RandomStream, _is_index
+from .mechanisms import MECHANISMS, RandomStream, _count, _is_index, _positive
 from .pipelines import CovMatrix2, _covariance_cell, _synthesis_cell, _wald
 from .sensitivity import AttributeBounds
 
@@ -90,26 +90,18 @@ class SimConfig:
             raise ValueError(f"spec ids must be drawn from {sorted(COV_SPECS)}, got {self.specs!r}")
         if not all(_is_index(s) for s in specs) or len(set(specs)) != len(specs):
             raise ValueError(f"spec ids must be distinct integers, got {self.specs!r}")
-        ns = tuple(self.ns) or study.ns
-        if not all(_is_index(n) and n >= 2 for n in ns):
-            raise ValueError(f"sample sizes must be integers of at least 2, got {self.ns!r}")
-        ns = tuple(int(n) for n in ns)
+        ns = tuple(_count(n, "sample size", 2) for n in tuple(self.ns) or study.ns)
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError(f"sample size grid must be strictly increasing, got {ns}")
-        eps = tuple(float(e) for e in self.eps) or study.eps
-        if any(not math.isfinite(e) or e <= 0.0 for e in eps):
-            raise ValueError(f"budgets must be finite and positive, got {eps}")
-        if any(isinstance(e, (bool, np.bool_)) for e in self.eps) or len(set(eps)) != len(eps):
-            raise ValueError(f"budgets must be distinct numbers, not bools, got {self.eps!r}")
+        eps = tuple(_positive(e, "budgets") for e in self.eps) or study.eps
+        if len(set(eps)) != len(eps):
+            raise ValueError(f"budgets must be distinct, got {self.eps!r}")
         mechs = tuple(self.mechanisms)
         if not mechs or any(m not in MECHANISMS for m in mechs) or len(set(mechs)) != len(mechs):
             raise ValueError(f"mechanisms must be distinct members of {sorted(MECHANISMS)}, got {self.mechanisms!r}")
-        if not isinstance(self.reps, int) or isinstance(self.reps, bool) or self.reps < 1:
-            raise ValueError(f"replicate count must be a positive integer, got {self.reps!r}")
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
-            raise ValueError(f"synthesis count must be a positive integer, got {self.m!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, "reps", _count(self.reps, "replicate count"))
+        object.__setattr__(self, "m", _count(self.m, "synthesis count"))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
         object.__setattr__(self, "specs", tuple(int(s) for s in specs))
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "eps", eps)

@@ -15,6 +15,7 @@ class TestAllocateEqual:
         shares = d.allocate_equal(1.0, 3)
         assert len(shares) == 3
         assert math.fsum(shares) == 1.0
+        assert d.allocate_equal(1.0, np.int64(3)) == shares
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 10, 13, 100, 997])
     def test_recomposition_is_exact_for_any_count(self, k):
@@ -35,6 +36,9 @@ class TestAllocateEqual:
             d.allocate_equal(math.inf, 3)
         with pytest.raises(ValueError):
             d.allocate_equal(1.0, 0)
+        for flag in (True, np.True_, "0.5"):
+            with pytest.raises(ValueError, match="budget must be finite and positive"):
+                d.allocate_equal(flag, 3)
 
 
 class TestLedgerEntry:
@@ -51,6 +55,9 @@ class TestLedgerEntry:
             d.LedgerEntry("ok", math.nan)
         with pytest.raises(ValueError):
             d.LedgerEntry("ok", 0.1, group="")
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match="spend must be finite and positive"):
+                d.LedgerEntry("ok", flag)
 
 
 class TestCompose:
@@ -124,7 +131,7 @@ class TestBudgetLedger:
             led.spend("more", 0.5)
 
     def test_rejects_invalid_total(self):
-        for bad in (0.0, -1.0, math.inf, math.nan):
+        for bad in (0.0, -1.0, math.inf, math.nan, True, np.True_):
             with pytest.raises(ValueError):
                 d.BudgetLedger(bad)
 

@@ -133,9 +133,14 @@ class TestLibraryErrors:
         (("moments", "--s", "2", "--c0", "0", "--c1", "1", "--lambda", "0.5"),
          "statistic 2.0 lies outside its bounds"),
         (("sim", "prop", "--eps", "-1", "--reps", "1"), "budgets must be finite and positive"),
+        (("sim", "prop", "--reps", "0"), "replicate count must be an integer of at least 1, got 0"),
+        (("sim", "prop-ms", "--m", "0"), "synthesis count must be an integer of at least 1, got 0"),
+        (("audit", "--mech", "trunc", "--lambda", "1", "--c0", "0", "--c1", "1", "--delta1", "0"),
+         "sensitivity must be finite and positive, got 0.0"),
         (("sim", "prop", "--config", "missing.cfg"), "[Errno 2] No such file or directory: 'missing.cfg'"),
         (("sim", "prop", "--config", "."), "[Errno 21] Is a directory: '.'"),
-    ], ids=["audit-lambda", "audit-grid", "moments-s", "sim-eps", "sim-config-missing", "sim-config-dir"])
+    ], ids=["audit-lambda", "audit-grid", "moments-s", "sim-eps", "sim-reps", "sim-m", "audit-delta1",
+            "sim-config-missing", "sim-config-dir"])
     def test_exits_with_usage_status(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)  # the sim case would write here if it ran
         assert f"dpsan: error: {message}" in usage_error(capsys, *argv)

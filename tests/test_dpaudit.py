@@ -189,6 +189,14 @@ class TestValidation:
             d.audit_mechanism("trunc", 0.5, 0.0, 1.0, 0.3, grid=50)
         with pytest.raises(ValueError):
             d.audit_mechanism("trunc", 0.5, 0.0, 1.0, 0.3, grid=200.0)
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match="noise scale must be finite and positive"):
+                d.audit_mechanism("trunc", flag, 0.0, 1.0, 0.3)
+            with pytest.raises(ValueError, match="sensitivity must be finite and positive"):
+                d.audit_mechanism("trunc", 0.5, 0.0, 1.0, flag)
+        # a numpy integer grid is the same grid
+        assert (d.audit_mechanism("trunc", 0.5, 0.0, 1.0, 0.3, grid=np.int64(100))
+                == d.audit_mechanism("trunc", 0.5, 0.0, 1.0, 0.3, grid=100))
 
 
     @pytest.mark.parametrize("bounds", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)])

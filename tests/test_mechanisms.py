@@ -18,6 +18,9 @@ class TestRandomStream:
         a = d.RandomStream(7, (1, 2)).generator().normal(size=8)
         b = d.RandomStream(7, (1, 2)).generator().normal(size=8)
         assert np.array_equal(a, b)
+        # a numpy integer seed is the same stream, held as a plain int
+        c = d.RandomStream(np.uint64(7), (np.int64(1), 2))
+        assert c == d.RandomStream(7, (1, 2)) and type(c.seed) is int
 
     def test_distinct_ids_give_distinct_draws(self):
         a = d.RandomStream(7, (1,)).generator().normal(size=8)
@@ -161,6 +164,9 @@ class TestTruncDensity:
             d.trunc_laplace_pdf(0.5, 0.2, 0.5, 1.0, 0.0)  # inverted bounds
         with pytest.raises(ValueError):
             d.trunc_laplace_pdf(0.5, 0.2, -0.5, 0.0, 1.0)  # bad scale
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match="noise scale must be finite and positive"):
+                d.trunc_laplace_pdf(0.5, 0.2, flag, 0.0, 1.0)
 
     def test_cdf_spans_zero_to_one(self):
         for s, lam, c0, c1 in random_tuples(102, 6):
@@ -227,6 +233,10 @@ class TestTruncSampler:
             d.trunc_laplace_sample(1.5, 0.5, 0.0, 1.0, g)
         with pytest.raises(TypeError):
             d.trunc_laplace_sample(0.5, 0.5, 0.0, 1.0, "not an rng")
+        for sampler in (d.trunc_laplace_sample, d.bit_laplace_sample):
+            for flag in (True, np.True_):
+                with pytest.raises(ValueError, match="noise scale must be finite and positive"):
+                    sampler(0.5, flag, 0.0, 1.0, g)
 
 
 class TestBitSampler:

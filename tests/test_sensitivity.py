@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import dpsan as d
@@ -25,6 +26,8 @@ class TestAttributeBounds:
 class TestCatalog:
     def test_proportion(self):
         assert d.gs_catalog("proportion", 100) == 0.01
+        got = d.gs_catalog("proportion", np.int64(100))
+        assert got == 0.01 and type(got) is float
 
     def test_mean(self):
         assert d.gs_catalog("mean", 50, d.AttributeBounds(-3.0, 3.0)) == 6.0 / 50.0
@@ -64,6 +67,7 @@ class TestVarianceOutputBounds:
     def test_minimal_sample(self):
         # n = 2 on a unit-width attribute: spread tops out at 1/2 per point
         assert d.variance_output_bounds(2, d.AttributeBounds(0.0, 0.5)) == (0.0, 0.125)
+        assert d.variance_output_bounds(np.int64(2), d.AttributeBounds(0.0, 0.5)) == (0.0, 0.125)
 
     def test_frozen_study_value(self):
         got = d.variance_output_bounds(50, d.AttributeBounds(-3.0, 3.0))
@@ -78,7 +82,6 @@ class TestVarianceOutputBounds:
 
     def test_upper_bound_is_attained(self):
         # half the points at each end of the interval realizes the bound
-        import numpy as np
         b = d.AttributeBounds(-1.0, 1.0)
         for n in (2, 4, 10):
             x = np.array([b.c0] * (n // 2) + [b.c1] * (n - n // 2), dtype=float)

@@ -55,12 +55,18 @@ class TestSimConfig:
         for bad in (dict(ns=(50.9,)), dict(ns=("50",)), dict(ns=(True, 50)),
                     dict(specs=(True, 3.9)), dict(specs=(True,)), dict(specs=(1.0,)),
                     dict(specs=(1, 1)), dict(specs=(np.int64(2), 2)),
-                    dict(eps=(True,)), dict(eps=(np.True_,)), dict(eps=(0.5, 0.5)), dict(eps=(1, 1.0))):
+                    dict(eps=(True,)), dict(eps=(np.True_,)), dict(eps=(0.5, 0.5)), dict(eps=(1, 1.0)),
+                    dict(reps=True), dict(m=np.True_), dict(seed=False), dict(reps=np.float64(20)),
+                    dict(eps=("0.5",))):
             with pytest.raises(ValueError):
                 d.SimConfig("prop", **bad)
         cfg = d.SimConfig("cov", specs=(np.int64(3), 1), ns=(np.int64(60), 50 + 30), eps=(2, np.float64(0.5)))
         assert (cfg.specs, cfg.ns, cfg.eps) == ((3, 1), (60, 80), (2.0, 0.5))
         assert all(type(v) is int for v in cfg.specs + cfg.ns) and all(type(v) is float for v in cfg.eps)
+        # numpy integer counts are accepted and held as plain ints
+        cfg = d.SimConfig("prop-ms", reps=np.int64(20), m=np.int32(3), seed=np.uint64(7))
+        assert (cfg.reps, cfg.m, cfg.seed) == (20, 3, 7)
+        assert all(type(v) is int for v in (cfg.reps, cfg.m, cfg.seed))
 
 
 class TestSummarize:
