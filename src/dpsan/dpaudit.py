@@ -70,21 +70,19 @@ def _statistic_grid(c0: float, c1: float, delta1: float, grid: int) -> np.ndarra
 def _band_width(svals: np.ndarray, thr: float) -> int:
     """Number of partners ``j >= i`` to evaluate for every row ``i``.
 
-    ``svals`` is sorted, so ``s_j - s_i`` rises along a row and the
-    admitted partners (``s_j - s_i <= thr``) form one run starting at
-    ``j = i``. The width is the longest run plus a guard, checked so that
-    the window's last column admits no partner in any row: no admitted
-    pair can fall outside the window.
+    ``svals`` is sorted, so if diagonal ``k`` admits a pair (``s_{i+k} - s_i
+    <= thr`` for some ``i``) every diagonal below it does too. The width is
+    one past the last admitting diagonal, found by bisection: the window
+    holds every admitted pair and its last column admits one.
     """
-    rows = np.arange(svals.size)
-    with np.errstate(over="ignore"):  # an overflowed estimate only widens the window
-        ends = np.searchsorted(svals, svals + thr, side="right")
-    width = int(np.max(ends - rows)) + 2
-    while True:
-        padded = np.concatenate([svals, np.full(width, np.inf)])
-        if not np.any(padded[rows + width - 1] - svals <= thr):
-            return width
-        width *= 2
+    lo, hi = 0, svals.size  # diagonal lo admits a pair, diagonal hi does not
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        if np.any(svals[k:] - svals[:-k] <= thr):
+            lo = k
+        else:
+            hi = k
+    return lo + 1
 
 
 def _worst_pair(svals: np.ndarray, logz: np.ndarray, lam: float, delta1: float, c0: float, c1: float):

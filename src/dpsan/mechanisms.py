@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +37,6 @@ _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# streams hashed together in one vectorized step; a study cell has 1,000-1,500
-_BLOCK = 4096
 
 
 def _hashmix(value, h: int, mult: int = _MULT_A):
@@ -188,17 +185,16 @@ class RandomStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh numpy Generator positioned at the start of this stream."""
-        return next(self.generators())
+        return self.generators()[0]
 
-    def generators(self, *shape: int) -> Iterator[np.random.Generator]:
+    def generators(self, *shape: int) -> list[np.random.Generator]:
         """Generators of the child streams ``ids + idx``, one per grid index.
 
         ``idx`` runs over the product of ``range(k)`` for each extent ``k``
         in ``shape``, in C order, so the result equals
-        ``(self.child(*idx).generator() for idx in product(...))``. The
-        seed and ids are hashed once, the grid indices of up to 4,096
-        streams at a time in one vectorized step, and each Generator is
-        built only when it is asked for.
+        ``[self.child(*idx).generator() for idx in product(...)]``. The
+        seed and ids are hashed once, and every grid index in one
+        vectorized step.
 
         Raises:
             ValueError: if an extent is not an integer in ``[0, 2**32)``.
@@ -207,20 +203,12 @@ class RandomStream:
         pool, h = _seed_pool(self.seed)
         pool = list(pool)
         h = _mix_in(pool, [w for i in self.ids for w in _int_words(i)], h)
-        return _generators(pool, h, shape)
-
-
-def _generators(pool: list[int], h: int, shape: tuple[int, ...]) -> Iterator[np.random.Generator]:
-    generator, pcg64, state_words = np.random.Generator, np.random.PCG64, _state_words()
-    total = math.prod(shape)
-    for lo in range(0, total, _BLOCK):
-        block = pool
         if shape:
-            idx = np.unravel_index(np.arange(lo, min(lo + _BLOCK, total)), shape)
-            block = [np.full(1, w, dtype=np.uint32) for w in pool]
-            _mix_in(block, (i.astype(np.uint32) for i in idx), h)
-        for row in _state_rows(block):
-            yield generator(pcg64(state_words(row)))
+            idx = np.unravel_index(np.arange(math.prod(shape)), shape)
+            pool = [np.full(1, w, dtype=np.uint32) for w in pool]
+            _mix_in(pool, (i.astype(np.uint32) for i in idx), h)
+        generator, pcg64, state_words = np.random.Generator, np.random.PCG64, _state_words()
+        return [generator(pcg64(state_words(row))) for row in _state_rows(pool)]
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -295,13 +283,13 @@ def trunc_laplace_pdf(x, s: float, lam, c0: float, c1: float):
     scalar or array ``x``.
 
     Raises:
-        ValueError: if any ``x`` falls outside ``[c0, c1]``, if the bounds
+        ValueError: if any ``x`` is not in ``[c0, c1]`` (NaN is not), if the bounds
             are not ordered, if ``s`` is out of range, or if ``lam`` is not
             a positive finite scale.
     """
     lam = _check_support(s, lam, c0, c1)
     xv = np.asarray(x, dtype=float)
-    if np.any(xv < c0) or np.any(xv > c1):
+    if not np.asarray((c0 <= xv) & (xv <= c1)).all():
         raise ValueError(f"density requested outside the support [{c0}, {c1}]")
     z = _normalizer(s - c0, c1 - s, lam)
     out = np.exp(-np.abs(xv - s) / lam) / (2.0 * lam * z)

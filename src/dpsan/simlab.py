@@ -101,7 +101,7 @@ class SimConfig:
             raise ValueError(f"mechanisms must be distinct members of {sorted(MECHANISMS)}, got {self.mechanisms!r}")
         object.__setattr__(self, "reps", _count(self.reps, "replicate count"))
         object.__setattr__(self, "m", _count(self.m, "synthesis count"))
-        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
+        object.__setattr__(self, "seed", RandomStream(self.seed).seed)
         object.__setattr__(self, "specs", tuple(int(s) for s in specs))
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "eps", eps)
@@ -161,15 +161,6 @@ def _cell_lines(cell) -> list[str]:
     return (heads + reps + (stats + original + ",") + sanitized + tails).ravel().tolist()
 
 
-def _cell_key(cell) -> tuple:
-    """What the cell's CSV lines are made of: its labels, and its arrays' float
-    bits with every NaN alike (the CSV spells any NaN ``nan``, but tells -0.0
-    from 0.0)."""
-    shape = cell.sanitized.shape
-    arrays = (np.broadcast_to(c, shape) for c in cell[3:] if c is not None)
-    return (*cell[:3], shape, cell.cp is None, *(np.where(np.isnan(a), math.nan, a).tobytes() for a in arrays))
-
-
 class _Rows:
     """A study's replicate rows, held as its cells; the length counts one
     per CSV row."""
@@ -182,8 +173,8 @@ class _Rows:
         return self._len
 
     def __eq__(self, other):
-        # equal exactly when the CSV lines are
-        return isinstance(other, _Rows) and [*map(_cell_key, self._cells)] == [*map(_cell_key, other._cells)]
+        # equal exactly when write_csv writes the same replicate lines
+        return isinstance(other, _Rows) and [*map(_cell_lines, self._cells)] == [*map(_cell_lines, other._cells)]
 
 
 def summarize(rows) -> list[CovSummary | PropSummary]:
@@ -233,9 +224,9 @@ def _run_cov(config: SimConfig) -> list[_Cell]:
                 # stream (domain, spec_id, ie, n, im, rep) for mechanism im
                 streams = root.child(domain, spec_id, ie, n).generators(
                     len(config.mechanisms), config.reps)
-                for mech in config.mechanisms:
+                for im, mech in enumerate(config.mechanisms):
                     columns = _covariance_cell(S, n, bounds, eps, mech,
-                                               [g for _, g in zip(range(config.reps), streams)])
+                                               streams[im * config.reps:(im + 1) * config.reps])
                     cells.append(_Cell((("cov", spec_id, n, eps, mech),), ("s11", "s22", "s12", "r"), ((),) * 4,
                                        originals, np.stack(columns, axis=-1)[:, None]))
     return cells
@@ -260,7 +251,7 @@ def _run_prop(config: SimConfig) -> list[_Cell]:
         for n in config.ns:
             # stream (domain, ie, n, rep, 0) draws the data, (..., rep, 1 + im)
             # mechanism im's noise
-            streams = list(root.child(domain, ie, n).generators(config.reps, len(arms)))
+            streams = root.child(domain, ie, n).generators(config.reps, len(arms))
             phat = np.array([g.multinomial(n, PROP_TRUTH) for g in streams[::len(arms)]]) / n
             columns = [(phat, *_wald(phat, n))] + [
                 _synthesis_cell(phat, n, eps, m, mech, streams[1 + im::len(arms)])

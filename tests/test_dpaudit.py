@@ -225,6 +225,13 @@ class TestMatchesDenseReference:
         for kind, lam in itertools.product(SWEEP_KINDS, SWEEP_LAMBDAS):
             assert audited(kind, lam, c0, c1, delta1, grid) == dense_worst(kind, lam, c0, c1, delta1, pairs)
 
+    def test_band_is_exact(self):
+        # the window is as wide as the widest admitted pair, and no wider
+        for (c0, c1), frac, grid in itertools.product(SWEEP_INTERVALS, SWEEP_DELTA_FRACS, (100, 137, 400)):
+            delta1 = frac * (c1 - c0)
+            svals, i, j = dense_pairs(c0, c1, delta1, grid)
+            assert dpaudit._band_width(svals, delta1 * (1.0 + 1e-15)) == 1 + int(np.max(j - i)), (c0, c1, frac, grid)
+
     def test_grid_1600(self):
         # two of the benchmark's audit points
         pairs = dense_pairs(0.0, 1.0, 0.3, 1600)
@@ -255,14 +262,6 @@ class TestMatchesDenseReference:
             want = dense_worst("trunc", 1e30, 0.0, 1e-300, 3e-301, pairs)
         assert math.isnan(got[0]) and math.isnan(want[0])
         assert got[1:] == want[1:]
-
-    def test_underestimated_band_is_widened(self, monkeypatch):
-        # a band estimate of zero partners per row must be caught by the
-        # coverage check and widened until no admitted pair is left out
-        monkeypatch.setattr(dpaudit.np, "searchsorted", lambda a, v, side: np.zeros(len(v), dtype=np.intp))
-        pairs = dense_pairs(0.0, 1.0, 0.3, 137)
-        for kind in SWEEP_KINDS:
-            assert audited(kind, 0.3, 0.0, 1.0, 0.3, 137) == dense_worst(kind, 0.3, 0.0, 1.0, 0.3, pairs)
 
 
 class TestAuditMemory:

@@ -57,7 +57,7 @@ class TestSimConfig:
                     dict(specs=(1, 1)), dict(specs=(np.int64(2), 2)),
                     dict(eps=(True,)), dict(eps=(np.True_,)), dict(eps=(0.5, 0.5)), dict(eps=(1, 1.0)),
                     dict(reps=True), dict(m=np.True_), dict(seed=False), dict(reps=np.float64(20)),
-                    dict(eps=("0.5",))):
+                    dict(eps=("0.5",)), dict(seed=2**64)):
             with pytest.raises(ValueError):
                 d.SimConfig("prop", **bad)
         cfg = d.SimConfig("cov", specs=(np.int64(3), 1), ns=(np.int64(60), 50 + 30), eps=(2, np.float64(0.5)))
@@ -123,6 +123,18 @@ class TestSummarize:
                                           np.array([[[1.0, 0.0]]]))])
         out = simlab.summarize(rows)
         assert [r.stat for r in out] == ["s", "t"]
+
+
+class TestRowsEquality:
+    def rows(self, eps, value):
+        return simlab._Rows([simlab._Cell((("x", 1, 10, eps, "m"),), ("s",), ((),), np.array([3.0]),
+                                          np.array([[[value]]]))])
+
+    def test_equal_exactly_when_the_csv_lines_are(self):
+        assert self.rows(1.0, math.nan) == self.rows(1.0, -math.nan)
+        # eps 1 and 1.0 are equal numbers, but the CSV spells them apart
+        assert self.rows(1, 0.5) != self.rows(1.0, 0.5)
+        assert self.rows(1.0, 0.0) != self.rows(1.0, -0.0)
 
 
 class TestCovStudy:
