@@ -41,8 +41,8 @@ _SIM_SETTINGS = {
     "n": ("ns", _list(int), _nonempty, "comma-separated sample sizes, strictly increasing"),
     "eps": ("eps", _list(float), _nonempty, "comma-separated privacy budgets"),
     "mech": ("mechanisms", _list(str.strip), _nonempty, f"comma-separated mechanisms from {{{','.join(MECHANISMS)}}}"),
-    "reps": ("reps", int, int, "replicates per cell (default 500)"),
-    "m": ("m", int, int, "synthesis sets per release (prop-ms, default 5)"),
+    "reps": ("reps", int, int, f"replicates per cell (default {SimConfig.reps})"),
+    "m": ("m", int, int, f"synthesis sets per release (prop-ms, default {SimConfig.m})"),
     "seed": ("seed", int, int, "master seed (default: DPSAN_SEED env var, else 0)"),
     "out": ("out_dir", str, str, "output directory (default: current directory)"),
 }
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--c0", type=float, required=True, help="lower bound")
     audit.add_argument("--c1", type=float, required=True, help="upper bound")
     audit.add_argument("--delta1", type=float, required=True, help="l1 sensitivity")
-    audit.add_argument("--grid", type=int, default=400, help="statistic grid resolution (default 400)")
+    audit.add_argument("--grid", type=int, default=400, help="statistic grid resolution (default %(default)s)")
     return parser
 
 

@@ -37,8 +37,7 @@ class AuditResult:
 
     ``worst_pair`` holds the neighboring statistic values attaining the
     realized maximum and ``worst_output`` the release value at which the
-    density ratio peaks. ``passed`` is exactly ``realized <= nominal +
-    1e-9``.
+    density ratio peaks.
     """
 
     kind: str
@@ -46,13 +45,15 @@ class AuditResult:
     realized: float
     worst_pair: tuple[float, float]
     worst_output: float
-    passed: bool
 
     def __post_init__(self) -> None:
         if self.realized < 0.0:
             raise ValueError(f"realized privacy loss cannot be negative, got {self.realized}")
-        if self.passed != (self.realized <= self.nominal + _DEFAULT_TOL):
-            raise ValueError("pass flag inconsistent with realized vs nominal comparison")
+
+    @property
+    def passed(self) -> bool:
+        """Exactly ``realized <= nominal + 1e-9``."""
+        return self.realized <= self.nominal + _DEFAULT_TOL
 
 
 def _statistic_grid(c0: float, c1: float, delta1: float, grid: int) -> np.ndarray:
@@ -195,5 +196,4 @@ def audit_mechanism(kind: str, lam, c0: float, c1: float, delta1: float, grid: i
         realized=realized,
         worst_pair=pair,
         worst_output=output,
-        passed=realized <= nominal + _DEFAULT_TOL,
     )

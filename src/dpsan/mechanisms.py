@@ -297,9 +297,11 @@ def trunc_laplace_pdf(x, s: float, lam, c0: float, c1: float):
 
 
 def trunc_laplace_cdf(x, s: float, lam, c0: float, c1: float):
-    """CDF of the truncated Laplace release (0 below c0, 1 above c1)."""
+    """CDF of the truncated Laplace release (0 below c0, 1 above c1; NaN is refused)."""
     lam = _check_support(s, lam, c0, c1)
     xv = np.asarray(x, dtype=float)
+    if np.isnan(xv).any():
+        raise ValueError("CDF requested at NaN")
     z = _normalizer(s - c0, c1 - s, lam)
     out = np.clip(_laplace_cdf_gap(np.clip(xv, c0, c1), s, lam, c0) / z, 0.0, 1.0)
     return float(out) if xv.ndim == 0 else out

@@ -25,8 +25,6 @@ from .sensitivity import AttributeBounds
 __all__ = [
     "PROP_TRUTH",
     "COV_SPECS",
-    "CovSummary",
-    "PropSummary",
     "SimConfig",
     "SimReport",
     "run_study",

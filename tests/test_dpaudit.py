@@ -67,11 +67,11 @@ def audited(kind, lam, c0, c1, delta1, grid):
 class TestAuditResult:
     def test_consistency_enforced(self):
         with pytest.raises(ValueError):
-            d.AuditResult("laplace", 1.0, -0.5, (0.0, 1.0), 0.0, passed=True)
-        with pytest.raises(ValueError):
-            d.AuditResult("laplace", 1.0, 2.0, (0.0, 1.0), 0.0, passed=True)
-        with pytest.raises(ValueError):
-            d.AuditResult("laplace", 1.0, 0.5, (0.0, 1.0), 0.0, passed=False)
+            d.AuditResult("laplace", 1.0, -0.5, (0.0, 1.0), 0.0)
+
+    def test_passed_is_computed_with_the_tolerance(self):
+        assert d.AuditResult("laplace", 1.0, 1.0 + 1e-9, (0.0, 1.0), 0.0).passed
+        assert not d.AuditResult("laplace", 1.0, 1.0 + 2e-9, (0.0, 1.0), 0.0).passed
 
 
 class TestPlainLaplaceAudit:

@@ -174,6 +174,12 @@ class TestTruncDensity:
             cdf = d.trunc_laplace_cdf(xs, s, lam, c0, c1)
             assert np.all(np.diff(cdf) >= 0.0)
 
+    def test_cdf_rejects_nan(self):
+        # np.clip passes NaN through, so the CDF refuses it as the density does
+        for x in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match="NaN"):
+                d.trunc_laplace_cdf(x, 0.2, 0.5, 0.0, 1.0)
+
     def test_cdf_consistent_with_density(self):
         s, lam, c0, c1 = 0.2, 0.5, 0.0, 1.0
         for x in (0.1, 0.2, 0.55, 0.9):
