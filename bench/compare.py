@@ -17,7 +17,10 @@ gain is claimable when the change wins at least 9 of 10 pairs and its
 median beats the parent's by more than ``q3 - q1`` and by at least
 ``MIN_EFFECT`` (1%) of the parent's median; the ``claim`` column says
 whether it is. The minimum effect keeps a steady metric from claiming a
-shift too small to matter, such as a 0.2% change in peak memory.
+shift too small to matter, such as a 0.2% change in peak memory. A metric
+whose old quartiles straddle zero (``q1 <= 0 <= q3``), such as a
+difference of two timings, has no scale for a percent change: its delta
+reads ``n/a`` and its claim ``no``.
 
 The ``worse`` column gives the no-regression verdict for each end-to-end
 metric, against its ``bound`` in ``BENCHMARK.json`` (a fraction of the old
@@ -80,16 +83,18 @@ def main(argv: list[str]) -> int:
     for workload in sorted(old.keys() & new.keys()):
         for name in sorted(old[workload].keys() & new[workload].keys()):
             a, b = old[workload][name], new[workload][name]
-            delta = f"{100.0 * (b['median'] - a['median']) / abs(a['median']):+8.1f}%" if a["median"] else "      n/a"
             q1, _, q3 = (statistics.quantiles(a["values"], n=4, method="inclusive")
                          if len(a["values"]) > 1 else [a["median"]] * 3)
+            signed = q1 <= 0.0 <= q3
+            delta = ("      n/a" if signed or not a["median"]
+                     else f"{100.0 * (b['median'] - a['median']) / abs(a['median']):+8.1f}%")
             pairs, claim = "n/a", "n/a"
             verdict = worse(a, b, better[name], bounds[name], q3 - q1) if name in bounds else "n/a"
             if len(argv) == 1 and name in better:
                 wins = won(a["values"], b["values"], better[name])
                 gap = a["median"] - b["median"] if better[name] == "lower" else b["median"] - a["median"]
                 pairs = f"{wins}/{len(a['values'])}"
-                claim = ("yes" if 10 * wins >= 9 * len(a["values"]) and gap > q3 - q1
+                claim = ("yes" if not signed and 10 * wins >= 9 * len(a["values"]) and gap > q3 - q1
                          and gap >= MIN_EFFECT * abs(a["median"]) else "no")
             print(f"{workload:<10} {name:<42} {a['median']:>12.6g} {b['median']:>12.6g} {delta} "
                   f"{q1:>12.6g} {q3:>12.6g} {pairs:>6} {verdict:>10} {claim:>5}  {b['unit']}")

@@ -4,9 +4,12 @@ Truncated and boundary-inflated truncated (BIT) Laplace samplers with the
 truncated density, its normalizer and the BIT boundary masses, plus the
 standard normal quantile the Wald intervals use. Each mechanism has one
 sampler, in ``MECHANISMS``: it releases a batch of statistics, one row per
-release, and release i draws from generator i only as it asks (``_Draws``).
-The pipelines pass it a study cell's streams or the caller's generator, and
-the public samplers are its one-row case. All randomness flows through
+release, and release i draws from stream i only as it asks. The streams
+come from one of two draw sources with the same interface. ``_Draws`` holds
+numpy Generators: the caller's, for the public samplers (the sampler's
+one-row case) and the public pipelines. ``_PCG64Rows`` holds a study cell's
+streams as PCG64 state arrays and steps them together, yielding what their
+Generators would, bit for bit. All randomness flows through
 :class:`RandomStream` (or a ``numpy`` Generator derived from one), so every
 draw sequence is reproducible and independent streams can be consumed in
 any order without affecting each other.
@@ -199,6 +202,11 @@ class RandomStream:
         Raises:
             ValueError: if an extent is not an integer in ``[0, 2**32)``.
         """
+        return _generators(self._words(*shape))
+
+    def _words(self, *shape: int) -> np.ndarray:
+        """The PCG64 state words of the streams :meth:`generators` returns,
+        one row of four uint64 per grid index."""
         shape = tuple(_check_extent(k) for k in shape)
         pool, h = _seed_pool(self.seed)
         pool = list(pool)
@@ -207,8 +215,13 @@ class RandomStream:
             idx = np.unravel_index(np.arange(math.prod(shape)), shape)
             pool = [np.full(1, w, dtype=np.uint32) for w in pool]
             _mix_in(pool, (i.astype(np.uint32) for i in idx), h)
-        generator, pcg64, state_words = np.random.Generator, np.random.PCG64, _state_words()
-        return [generator(pcg64(state_words(row))) for row in _state_rows(pool)]
+        return _state_rows(pool)
+
+
+def _generators(words) -> list[np.random.Generator]:
+    """A Generator over numpy's PCG64 seeded from each row of state ``words``."""
+    generator, pcg64, state_words = np.random.Generator, np.random.PCG64, _state_words()
+    return [generator(pcg64(state_words(row))) for row in words]
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -320,8 +333,12 @@ def _tails(d, lam: float) -> np.ndarray:
     """:func:`_tail` of each element of ``d``, computed once per distinct value.
 
     A study cell's releases share few locations (at most n + 1 category
-    proportions), so the exponentials cost little next to the draws.
+    proportions), so the exponentials cost little next to the draws. A lone
+    element (a public sampler's one release) skips the unique, whose cost
+    would dwarf its one exponential.
     """
+    if d.size == 1:
+        return np.full(d.shape, _tail(d.item(), lam))
     values, where = np.unique(d, return_inverse=True)
     return np.array([_tail(v, lam) for v in values.tolist()])[where].reshape(np.shape(d))
 
@@ -365,12 +382,16 @@ class _Draws:
         self.generators = list(generators)
         self.rows = np.arange(len(self.generators))
 
-    def uniform(self, rows, lo, hi, k):
-        # drawn in place, so a lone 10^6-draw row is never copied;
-        # Generator.uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit
+    def _random(self, rows, k):
+        # drawn in place, so a lone 10^6-draw row is never copied
         u = np.empty((rows.size, k))
         for j, i in enumerate(rows.tolist()):
             self.generators[i].random(out=u[j])
+        return u
+
+    def uniform(self, rows, lo, hi, k):
+        # Generator.uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit
+        u = self._random(rows, k)
         u *= hi - lo
         u += lo
         return u
@@ -380,6 +401,76 @@ class _Draws:
         # a lone row is returned as drawn, without a copy
         e = [self.generators[i].laplace(0.0, lam, k) for i in rows.tolist()]
         return e[0][None] if len(e) == 1 else np.reshape(e, (rows.size, k))
+
+
+# numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG stepped as
+# state * multiplier + inc, each step's XSL-RR output the next uint64.
+# 128-bit numbers are held as (high, low) uint64 words, and the multiplier
+# in 32-bit halves for the 64x64 -> 128-bit product.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 2**64 - 1)
+_MULT_LO1, _MULT_LO0 = np.uint64(_PCG_MULT >> 32 & _M32), np.uint64(_PCG_MULT & _M32)
+
+
+class _PCG64Rows(_Draws):
+    """The draws of a batch of releases from PCG64 states held as arrays.
+
+    Row i is the PCG64 that numpy seeds from row i of ``words`` (four
+    uint64, as :meth:`RandomStream._words` gives them), and yields what a
+    Generator over it yields: ``random()`` for ``uniform`` and
+    ``laplace(0, lam)`` for ``laplace``, bit for bit, with the same end
+    state. A study cell's releases step all their streams with a few array
+    operations per draw, where a Generator per stream costs a Python call.
+    """
+
+    def __init__(self, words) -> None:
+        w0, w1, w2, w3 = np.asarray(words, dtype=np.uint64).T
+        self.rows = np.arange(w0.size)
+        # numpy's pcg64_set_seed: inc = (w2:w3 << 1) | 1; the zero state
+        # steps to inc, adds w0:w1 and steps again
+        self._inc_hi, self._inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
+        self._lo = self._inc_lo + w1
+        self._hi = self._inc_hi + w0 + (self._lo < w1)
+        self._next(self.rows)
+
+    def _next(self, rows):
+        """Step the states of ``rows`` once; their ``random()`` doubles."""
+        hi, lo, inc_lo = self._hi[rows], self._lo[rows], self._inc_lo[rows]
+        # high word of lo * _MULT_LO, from the 32-bit halves' products
+        a0, a1 = lo & _M32, lo >> 32
+        p00, p01, p10 = a0 * _MULT_LO0, a0 * _MULT_LO1, a1 * _MULT_LO0
+        mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+        carry = a1 * _MULT_LO1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+        lo_next = lo * _MULT_LO + inc_lo
+        hi = carry + lo * _MULT_HI + hi * _MULT_LO + self._inc_hi[rows] + (lo_next < inc_lo)
+        self._hi[rows], self._lo[rows] = hi, lo_next
+        # XSL-RR: the two words xor-ed, rotated right by the state's top 6 bits
+        x, rot = hi ^ lo_next, hi >> 58
+        x = x >> rot | x << (-rot & 63)
+        return (x >> 11) * (1.0 / 2**53)
+
+    def _random(self, rows, k):
+        u = np.empty((rows.size, k))
+        for j in range(k):
+            u[:, j] = self._next(rows)
+        return u
+
+    def laplace(self, rows, lam, k):
+        # numpy's random_laplace at loc 0: 0 - lam log(2 - U - U) for U >= 1/2,
+        # else 0 + lam log(U + U), with a U of 0.0 drawn again at once. The
+        # log is math.log, the libm log numpy calls; np.log's vector loops
+        # can differ from it in the last bit
+        u = np.empty((rows.size, k))
+        for j in range(k):
+            u[:, j] = self._next(rows)
+            zero = np.flatnonzero(u[:, j] == 0.0)
+            while zero.size:
+                u[zero, j] = self._next(rows[zero])
+                zero = zero[u[zero, j] == 0.0]
+        high = u >= 0.5
+        x = np.where(high, 2.0 - u - u, u + u)
+        e = lam * np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
+        return np.where(high, 0.0 - e, 0.0 + e)
 
 
 def _sample_trunc(draws, rows, s, lam, c0, c1, k):

@@ -10,7 +10,7 @@ between/within variance estimate.
 Every release runs as array arithmetic over a batch of releases, one row
 each, through the batch samplers of :mod:`dpsan.mechanisms`: the public
 functions release one row from the caller's generator, a study cell one row
-per replicate stream.
+per replicate stream, held as PCG64 state arrays.
 """
 
 from __future__ import annotations
@@ -356,19 +356,21 @@ def multiple_synthesis(counts, epsilon: float, m: int, mechanism: str, rng, ledg
     )
 
 
-# The study cells: one release per replicate stream, as columns.
+# The study cells: one release per replicate stream, as columns, each
+# stream a row of a :class:`~dpsan.mechanisms._PCG64Rows`.
 
 
-def _covariance_cell(S, n, bounds, epsilon, mechanism, streams):
-    """s11, s22, s12 and r of one release of ``S`` per stream."""
-    s11, s22, s12 = _covariance_releases(S, n, bounds, epsilon, mechanism, _Draws(streams))
+def _covariance_cell(S, n, bounds, epsilon, mechanism, draws):
+    """s11, s22, s12 and r of one release of ``S`` per row of ``draws``."""
+    s11, s22, s12 = _covariance_releases(S, n, bounds, epsilon, mechanism, draws)
     return s11, s22, s12, _correlation(s11, s22, s12)
 
 
-def _synthesis_cell(phat, n, epsilon, m, mechanism, streams):
-    """Combined estimates of an m-set synthesis of each row of ``phat`` (one
-    stream each) and their 95% interval bounds; a degenerate bundle's row is
-    NaN. At m = 1 these are the single release and its Wald interval."""
-    sets = _synthesize(phat, n, allocate_equal(epsilon, m), mechanism, _Draws(streams))
+def _synthesis_cell(phat, n, epsilon, m, mechanism, draws):
+    """Combined estimates of an m-set synthesis of each row of ``phat`` (row
+    i of ``draws`` each) and their 95% interval bounds; a degenerate
+    bundle's row is NaN. At m = 1 these are the single release and its Wald
+    interval."""
+    sets = _synthesize(phat, n, allocate_equal(epsilon, m), mechanism, draws)
     pbar, _, interval = _combine(sets, n)
     return (pbar, *interval)

@@ -5,7 +5,9 @@ grid of sample sizes; studies ``prop`` and ``prop-ms`` redraw multinomial
 data each replicate and sanitize the category proportions, the latter
 through multiple synthesis. Every replicate draws from its own derived
 random stream, so cells are independent, individually re-runnable, and the
-whole run is reproducible byte for byte from the master seed.
+whole run is reproducible byte for byte from the master seed. A cell's
+noise streams are stepped together as PCG64 state arrays; only the data
+streams of the proportion studies are numpy Generators.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mechanisms import MECHANISMS, RandomStream, _count, _is_index, _positive
+from .mechanisms import MECHANISMS, RandomStream, _count, _generators, _is_index, _PCG64Rows, _positive
 from .pipelines import CovMatrix2, _covariance_cell, _synthesis_cell, _wald
 from .sensitivity import AttributeBounds
 
@@ -220,11 +222,10 @@ def _run_cov(config: SimConfig) -> list[_Cell]:
         for ie, eps in enumerate(config.eps):
             for n in config.ns:
                 # stream (domain, spec_id, ie, n, im, rep) for mechanism im
-                streams = root.child(domain, spec_id, ie, n).generators(
-                    len(config.mechanisms), config.reps)
+                words = root.child(domain, spec_id, ie, n)._words(len(config.mechanisms), config.reps)
                 for im, mech in enumerate(config.mechanisms):
                     columns = _covariance_cell(S, n, bounds, eps, mech,
-                                               streams[im * config.reps:(im + 1) * config.reps])
+                                               _PCG64Rows(words[im * config.reps:(im + 1) * config.reps]))
                     cells.append(_Cell((("cov", spec_id, n, eps, mech),), ("s11", "s22", "s12", "r"), ((),) * 4,
                                        originals, np.stack(columns, axis=-1)[:, None]))
     return cells
@@ -247,12 +248,12 @@ def _run_prop(config: SimConfig) -> list[_Cell]:
     cells = []
     for ie, eps in enumerate(config.eps):
         for n in config.ns:
-            # stream (domain, ie, n, rep, 0) draws the data, (..., rep, 1 + im)
-            # mechanism im's noise
-            streams = root.child(domain, ie, n).generators(config.reps, len(arms))
-            phat = np.array([g.multinomial(n, PROP_TRUTH) for g in streams[::len(arms)]]) / n
+            # stream (domain, ie, n, rep, 0) draws the data through a Generator
+            # (numpy's multinomial), (..., rep, 1 + im) mechanism im's noise
+            words = root.child(domain, ie, n)._words(config.reps, len(arms))
+            phat = np.array([g.multinomial(n, PROP_TRUTH) for g in _generators(words[::len(arms)])]) / n
             columns = [(phat, *_wald(phat, n))] + [
-                _synthesis_cell(phat, n, eps, m, mech, streams[1 + im::len(arms)])
+                _synthesis_cell(phat, n, eps, m, mech, _PCG64Rows(words[1 + im::len(arms)]))
                 for im, mech in enumerate(config.mechanisms)]
             sanitized, lo, hi = (np.stack(c, axis=1) for c in zip(*columns))
             # whether each interval covers its truth; NaN for a degenerate release

@@ -47,6 +47,19 @@ def test_claim_needs_a_minimum_effect(capsys, bench, metric, claim):
     assert claims["studies", metric] == claim
 
 
+def test_no_claim_when_parent_quartiles_straddle_zero(capsys):
+    # BENCH_19.json analysis trace.overhead_frac: 0.0034 -> -0.0199 over 9/10
+    # pairs, but the parent's quartiles (-0.0046, 0.0119) straddle zero, so
+    # neither a percent delta nor a gain means anything
+    assert load_compare().main([str(ROOT / "BENCH_19.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cells = {(c[0], c[1]): c for c in map(str.split, lines[1:])}
+    row = cells["analysis", "trace.overhead_frac"]
+    assert row[4] == "n/a" and row[-2] == "no"
+    # a metric away from zero keeps its percent delta
+    assert cells["analysis", "run_s"][4].endswith("%")
+
+
 def worse_column(capsys, path) -> dict:
     assert load_compare().main([str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()

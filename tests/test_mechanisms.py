@@ -1,5 +1,6 @@
 """Mechanism tests: streams, densities, samplers, and the normal quantile."""
 
+import functools
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from scipy import integrate, special, stats
 
 import dpsan as d
 from conftest import random_tuples, rejection_trunc_sample
+from dpsan.mechanisms import _Draws, _PCG64Rows
 
 
 class TestRandomStream:
@@ -304,6 +306,77 @@ class TestScalarMatchesBatched:
         scalar = np.array([sampler(s, lam, c0, c1, g) for _ in range(k)])
         batched = sampler(s, lam, c0, c1, d.RandomStream(36, (7,)).generator(), size=k)
         assert scalar.tobytes() == batched.tobytes()
+
+
+class TestPCG64Rows:
+    """The study cells' draw source, PCG64 states held as arrays, against a
+    Generator per row (``_Draws``): the same draws and end states, bit for bit."""
+
+    MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 multiplier
+    M128 = 2**128
+
+    @staticmethod
+    def states(src):
+        return [{"state": int(hi) << 64 | int(lo), "inc": int(ihi) << 64 | int(ilo)}
+                for hi, lo, ihi, ilo in zip(src._hi, src._lo, src._inc_hi, src._inc_lo)]
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), ids=st.lists(st.integers(0, 2**40), max_size=3),
+           streams=st.integers(1, 6),
+           calls=st.lists(st.tuples(st.sampled_from(["uniform", "laplace"]),
+                                    st.lists(st.booleans(), min_size=6, max_size=6),
+                                    st.integers(1, 4), st.floats(-300.0, 15.0)), max_size=8))
+    def test_matches_generators(self, seed, ids, streams, calls):
+        stream = d.RandomStream(seed, ids)
+        src, twins = _PCG64Rows(stream._words(streams)), _Draws(stream.generators(streams))
+        assert self.states(src) == [g.bit_generator.state["state"] for g in twins.generators]
+        for kind, mask, k, log_lam in calls:
+            rows, lam = np.flatnonzero(mask[:streams]), 10.0**log_lam
+            if kind == "uniform":
+                a, b = src.uniform(rows, -lam, lam, k), twins.uniform(rows, -lam, lam, k)
+            else:
+                a, b = src.laplace(rows, lam, k), twins.laplace(rows, lam, k)
+            assert a.shape == b.shape == (rows.size, k)
+            assert a.tobytes() == b.tobytes()
+            assert self.states(src) == [g.bit_generator.state["state"] for g in twins.generators]
+
+    @pytest.mark.parametrize("post,u,laplace_steps,laplace", [
+        # equal high and low words: XSL-RR output 0, so random() is 0.0,
+        # which numpy's Laplace sampler rejects and draws again
+        (0x0123456789ABCDEF * (2**64 + 1), 0.0, 2, None),
+        # high word 0, low word 2**63: random() is 0.5 exactly, whose Laplace
+        # draw is 0 - lam log(1), a positive zero
+        (2**63, 0.5, 1, 0.0),
+    ], ids=["zero", "half"])
+    def test_edge_uniforms(self, post, u, laplace_steps, laplace):
+        inc = 0xDA3E39CB94B95BDB_5851F42D4C957F2D | 1
+        step = lambda state: (state * self.MULT + inc) % self.M128  # noqa: E731
+        pre = (post - inc) * pow(self.MULT, -1, self.M128) % self.M128
+        assert step(pre) == post
+        # the seed words PCG64 seeding turns into ``pre``: it steps inc + w0:w1
+        w = ((pre - inc) * pow(self.MULT, -1, self.M128) - inc) % self.M128
+        words = np.array([[w >> 64, w & 2**64 - 1, inc >> 65, inc >> 1 & 2**64 - 1]], dtype=np.uint64)
+
+        def twin():
+            bitgen = np.random.PCG64()
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": pre, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            return np.random.Generator(bitgen)
+
+        assert twin().random() == u
+        # a uniform draw takes the one uniform as it is, whatever its value
+        for args, steps in (((0.5,), laplace_steps), ((-0.5, 0.5), 1)):
+            src, ref = _PCG64Rows(words), _Draws([twin()])
+            assert self.states(src) == [{"state": pre, "inc": inc}]
+            draw = "laplace" if len(args) == 1 else "uniform"
+            a = getattr(src, draw)(src.rows, *args, 1)
+            assert a.tobytes() == getattr(ref, draw)(ref.rows, *args, 1).tobytes()
+            end = ref.generators[0].bit_generator.state["state"]
+            assert self.states(src) == [end]
+            assert end["state"] == functools.reduce(lambda s, _: step(s), range(steps), pre)
+            if draw == "laplace" and laplace is not None:
+                assert a[0, 0] == laplace and math.copysign(1.0, a[0, 0]) == 1.0
+        assert a[0, 0] == u - 0.5
 
 
 class TestBoundaryMasses:

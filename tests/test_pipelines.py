@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dpsan as d
+from dpsan.mechanisms import _PCG64Rows
 from dpsan.pipelines import _covariance_cell, _synthesis_cell
 
 B3 = d.AttributeBounds(-3.0, 3.0)
@@ -394,11 +395,16 @@ class TestDrawsTaken:
         assert seen == ({3} if mechanism == "trunc" else {2, 3})
 
     # the study cells: one release per stream, each stream advanced by
-    # exactly the draws of its own release
+    # exactly the draws of its own release; the streams are the rows of a
+    # PCG64 state array, and a row's next random() is its next uniform on [0, 1)
 
     @staticmethod
     def streams(seeds):
-        return [d.RandomStream(seed).generator() for seed in seeds]
+        return _PCG64Rows(np.concatenate([d.RandomStream(seed)._words() for seed in seeds]))
+
+    @staticmethod
+    def next_randoms(draws):
+        return draws.uniform(draws.rows, 0.0, 1.0, 1)[:, 0].tolist()
 
     def test_proportions_cell(self, mechanism):
         seeds = range(150)
@@ -406,11 +412,11 @@ class TestDrawsTaken:
         streams = self.streams(seeds)
         p, _, _ = _synthesis_cell(np.tile(np.divide(self.COUNTS, n), (len(seeds), 1)), n, 0.002, 1, mechanism, streams)
         seen = set()
-        for seed, g, row in zip(seeds, streams, p):
+        for seed, u, row in zip(seeds, self.next_randoms(streams), p):
             k = replayed_draws(d.RandomStream(seed).generator(), self.COUNTS, [0.002], mechanism)
             if math.isnan(row[0]):
                 assert k == 8
-            assert g.random() == self.next_after(seed, k)
+            assert u == self.next_after(seed, k)
             seen.add(k)
         assert seen == ({4} if mechanism == "trunc" else {4, 8})
 
@@ -421,9 +427,9 @@ class TestDrawsTaken:
         streams = self.streams(seeds)
         pbar, _, _ = _synthesis_cell(np.tile(np.divide(self.COUNTS, n), (len(seeds), 1)), n, 1e-4, 10, mechanism, streams)
         seen = set()
-        for seed, g in zip(seeds, streams):
+        for seed, u in zip(seeds, self.next_randoms(streams)):
             k = replayed_draws(d.RandomStream(seed).generator(), self.COUNTS, shares, mechanism)
-            assert g.random() == self.next_after(seed, k)
+            assert u == self.next_after(seed, k)
             seen.add(k)
         if mechanism == "trunc":
             assert seen == {40} and not np.isnan(pbar).any()
@@ -435,8 +441,8 @@ class TestDrawsTaken:
         streams = self.streams(seeds)
         s11, s22, _, _ = _covariance_cell(d.CovMatrix2(1.0, 1.0, 0.0), 20, (B3, B3), 1.0, mechanism, streams)
         seen = set()
-        for seed, g, v11, v22 in zip(seeds, streams, s11.tolist(), s22.tolist()):
+        for seed, u, v11, v22 in zip(seeds, self.next_randoms(streams), s11.tolist(), s22.tolist()):
             k = 3 if math.sqrt(v11 * v22) > 0.0 else 2
-            assert g.random() == self.next_after(seed, k)
+            assert u == self.next_after(seed, k)
             seen.add(k)
         assert seen == ({3} if mechanism == "trunc" else {2, 3})

@@ -219,6 +219,22 @@ class TestPropStudies:
         assert all(math.isnan(r.cp) for r in nan_rows)
 
 
+@pytest.mark.parametrize("study,built", [("cov", 0), ("prop", 2 * 5), ("prop-ms", 2 * 5)])
+def test_only_data_streams_build_generators(monkeypatch, study, built):
+    # noise streams are PCG64 state arrays; a Generator is built only for
+    # each replicate's multinomial data stream
+    made = []
+
+    class Counted(np.random.Generator):
+        def __init__(self, bit_generator):
+            super().__init__(bit_generator)
+            made.append(self)
+
+    monkeypatch.setattr(np.random, "Generator", Counted)
+    d.run_study(small_cfg(study, mechanisms=("trunc", "bit"), m=2))
+    assert len(made) == built
+
+
 def same_bits(a, b) -> bool:
     """Equal floats, told apart by sign of zero; any NaN equals any NaN."""
     return float.hex(a) == float.hex(b)
