@@ -8,9 +8,13 @@ overshoot is a fact about the mechanism rather than Monte Carlo noise.
 
 The bounded mechanisms are audited over every pair of grid statistics at
 most ``delta1`` apart. Those pairs form a band around the diagonal of the
-sorted grid, so they are evaluated a block of rows at a time over a window
-of the band's width W: work is O(N * W) and memory O(block * W) for N grid
-statistics, instead of the O(N^2) of a full pairwise matrix.
+sorted grid. For N grid statistics, a binary search finds each row's last
+partner, and a sparse table of log Z bounds each row's worst loss, both in
+O(N log N). Only the rows whose bound reaches the exact worst loss of the
+most promising row are then scored pair by pair, a block of rows at a time
+over a window of the band's width W in O(block * W) memory, and the scan
+stops once no row left can beat the best. No N x N matrix is built, and
+the result is bit for bit that of scoring every pair.
 """
 
 from __future__ import annotations
@@ -68,26 +72,60 @@ def _statistic_grid(c0: float, c1: float, delta1: float, grid: int) -> np.ndarra
     return np.unique(np.concatenate([base, shifted]))
 
 
-def _band_width(svals: np.ndarray, thr: float) -> int:
-    """Number of partners ``j >= i`` to evaluate for every row ``i``.
+def _last_partners(svals: np.ndarray, thr: float) -> np.ndarray:
+    """Index of each row's last admitted partner, the largest ``j`` with
+    ``svals[j] - svals[i] <= thr`` in floating point.
 
-    ``svals`` is sorted, so if diagonal ``k`` admits a pair (``s_{i+k} - s_i
-    <= thr`` for some ``i``) every diagonal below it does too. The width is
-    one past the last admitting diagonal, found by bisection: the window
-    holds every admitted pair and its last column admits one.
+    ``svals`` is sorted, and rounding is monotone, so the computed
+    difference ``s_j - s_i`` is nondecreasing in ``j``: row ``i`` admits
+    exactly the partners ``i .. last[i]``. A binary search finds each end up
+    to the rounding of ``s_i + thr``, and unit steps make it exact.
     """
-    lo, hi = 0, svals.size  # diagonal lo admits a pair, diagonal hi does not
-    while hi - lo > 1:
-        k = (lo + hi) // 2
-        if np.any(svals[k:] - svals[:-k] <= thr):
-            lo = k
-        else:
-            hi = k
-    return lo + 1
+    n = svals.size
+    last = np.maximum(np.searchsorted(svals, svals + thr, side="right") - 1, np.arange(n))
+    while (over := svals[last] - svals > thr).any():
+        last -= over
+    while (under := (last < n - 1) & (svals[np.minimum(last + 1, n - 1)] - svals <= thr)).any():
+        last += under
+    return last
+
+
+def _row_bounds(svals: np.ndarray, logz: np.ndarray, last: np.ndarray, lam: float, delta1: float) -> np.ndarray:
+    """An upper bound on every loss :func:`_worst_pair` computes in each row.
+
+    Row ``i`` pairs ``s_i`` with ``s_i .. s_last``. Its bound is
+    ``min(s_last - s_i, delta1) / lam + max(zmax - z_i, z_i - zmin)``, with
+    ``zmax`` and ``zmin`` the extremes of log Z over the row's partners.
+    Every operation in a pair's loss is monotone in its operands, and
+    rounding is monotone too, so the bound holds for the computed losses,
+    not only for the exact ones. It is NaN in a row whose log Z is -inf.
+
+    The extremes come from a sparse table: level ``k`` holds the extremes of
+    the ``2**k`` values from each start, and a row of ``2**k`` to
+    ``2**(k + 1) - 1`` partners is covered by two overlapping level-``k``
+    entries. Each level overwrites the one before, so this is O(N log N)
+    work in O(N) memory.
+    """
+    n, first = svals.size, np.arange(svals.size)
+    level = np.frexp(last - first + 1)[1] - 1  # floor(log2(partners in the row))
+    hi, lo = logz.copy(), logz.copy()
+    zmax, zmin = np.empty(n), np.empty(n)
+    for k in range(int(level.max()) + 1):
+        span = 1 << k
+        if k:
+            m, half = n - span + 1, span // 2  # level k has entries 0 .. m - 1
+            np.maximum(hi[:m], hi[half:half + m], out=hi[:m])
+            np.minimum(lo[:m], lo[half:half + m], out=lo[:m])
+        rows = np.flatnonzero(level == k)
+        tail = last[rows] - span + 1
+        zmax[rows] = np.maximum(hi[rows], hi[tail])
+        zmin[rows] = np.minimum(lo[rows], lo[tail])
+    return np.minimum(svals[last] - svals, delta1) / lam + np.maximum(zmax - logz, logz - zmin)
 
 
 def _worst_pair(svals: np.ndarray, logz: np.ndarray, lam: float, delta1: float, c0: float, c1: float):
-    """Worst neighboring pair of a bounded mechanism, one block of rows at a time.
+    """Worst neighboring pair of a bounded mechanism, scoring only the rows
+    that can hold it.
 
     The admitted pairs are those with ``s <= s'`` (the ratio is symmetric
     under swapping the pair) and ``|s - s'| <= delta1`` up to a 1e-15
@@ -96,52 +134,80 @@ def _worst_pair(svals: np.ndarray, logz: np.ndarray, lam: float, delta1: float, 
     separation term and the log-Z ratio align at one interval end, ``c0``
     when ``|sep + dz| >= |dz - sep|`` and ``c1`` otherwise.
 
-    Row ``i`` is evaluated over a window of the next ``W`` statistic values
-    (see :func:`_band_width`), a block of rows at a time in buffers
-    allocated once per call, so memory is O(block * W) rather than O(N^2)
-    for N statistic values. The result is the first maximum in row-major
-    pair order, the same pair ``np.argmax`` picks over the full pair list,
-    with the same arithmetic per pair.
+    Row ``i`` pairs ``s_i`` with its partners ``i .. last[i]`` (see
+    :func:`_last_partners`), and its losses are at most its bound ``U_i``
+    (see :func:`_row_bounds`). The row with the largest bound is scored
+    first; its maximum L is a lower bound on the answer, so only rows with
+    ``U >= L`` can hold it. Those rows are scored in order, a block at a
+    time over a window of the band's width, in buffers allocated once per
+    call, and the scan stops once no row left has a bound above the best
+    loss so far. The result is the first maximum in row-major pair order,
+    the same pair ``np.argmax`` picks over the full pair list, with the same
+    arithmetic per pair.
 
-    Returns ``(realized, (s, s'), worst_output)``.
+    Returns ``(realized, (s, s'), worst_output, passes)``, where ``passes``
+    lists the number of rows each exact scoring pass covered.
     """
     thr = delta1 * (1.0 + 1e-15)
     n = svals.size
-    width = _band_width(svals, thr)
-    rows = min(n, max(1, _BLOCK_PAIRS // width))
+    last = _last_partners(svals, thr)
+    width = 1 + int(np.max(last - np.arange(n)))
+    block = min(n, max(1, _BLOCK_PAIRS // width))
     # row i's partners s_j and log Z_j for j = i .. i + width - 1; the
     # padding lies past the threshold, so it is never admitted
     s_win = sliding_window_view(np.concatenate([svals, np.full(width - 1, np.inf)]), width)
     z_win = sliding_window_view(np.concatenate([logz, np.zeros(width - 1)]), width)
-    sep, loss = np.empty((rows, width)), np.empty((rows, width))
-    outside = np.empty((rows, width), dtype=bool)
-    best = None
-    for r0 in range(0, n, rows):
-        r1 = min(r0 + rows, n)
-        b = r1 - r0
+    sep, loss = np.empty((block, width)), np.empty((block, width))
+    outside = np.empty((block, width), dtype=bool)
+    passes = []
+
+    def score(rows: np.ndarray) -> tuple[float, int, int, float]:
+        """First maximum over the admitted pairs of ``rows``, taken in
+        order: ``(loss, i, j, |s_j - s_i| / lam)``."""
+        b = rows.size
+        passes.append(b)
         sep_b, loss_b, out_b = sep[:b], loss[:b], outside[:b]
         # s_j >= s_i, so s_j - s_i equals |s_i - s_j| bit for bit
-        np.subtract(s_win[r0:r1], svals[r0:r1, None], out=sep_b)
+        np.subtract(s_win[rows], svals[rows, None], out=sep_b)
         np.greater(sep_b, thr, out=out_b)
         # pairs are admitted up to the slack, so clamp the roundoff
         # inflation back to the true separation cap
         np.minimum(sep_b, delta1, out=sep_b)
         np.divide(sep_b, lam, out=sep_b)
         # for sep >= 0, sep + |dz| is max(|sep + dz|, |dz - sep|) bit for bit
-        np.abs(np.subtract(z_win[r0:r1], logz[r0:r1, None], out=loss_b), out=loss_b)
+        np.abs(np.subtract(z_win[rows], logz[rows, None], out=loss_b), out=loss_b)
         np.add(sep_b, loss_b, out=loss_b)
         np.copyto(loss_b, -np.inf, where=out_b)
         row, col = divmod(int(np.argmax(loss_b)), width)
-        value = float(loss_b[row, col])
-        # a later block wins only when strictly greater. A NaN loss (log Z
-        # underflowed to -inf) first occurs at the pair (c0, c0), so it is
-        # kept, as np.argmax keeps the first NaN.
-        if best is None or value > best[0]:
-            i, j = r0 + row, r0 + row + col
-            sep_ij, dz = float(sep_b[row, col]), float(logz[j] - logz[i])
-            output = c0 if abs(sep_ij + dz) >= abs(dz - sep_ij) else c1
-            best = (value, (float(svals[i]), float(svals[j])), output)
-    return best
+        i = int(rows[row])
+        return float(loss_b[row, col]), i, i + col, float(sep_b[row, col])
+
+    bound = _row_bounds(svals, logz, last, lam, delta1)
+    if np.isnan(bound).any():
+        # log Z underflowed to -inf, so some losses are NaN. A block keeps
+        # its first NaN, as np.argmax does, and a NaN never displaces an
+        # earlier block's number, so which one wins depends on the blocks:
+        # they cover every row in order, and the scan stops only once no
+        # NaN row is left.
+        order = np.arange(n)
+    else:
+        order = np.flatnonzero(bound >= score(np.array([np.argmax(bound)]))[0])
+    # the largest bound among the rows from each position on (NaN while a
+    # row with a NaN bound is left), then -inf past the end
+    ahead = np.append(np.maximum.accumulate(bound[order][::-1])[::-1], -np.inf)
+    best = None
+    for p0 in range(0, order.size, block):
+        value = score(order[p0:p0 + block])
+        # a later block wins only when strictly greater
+        if best is None or value[0] > best[0]:
+            best = value
+        # rows left cannot beat the best, and ties keep the earlier pair
+        if best[0] >= ahead[min(p0 + block, order.size)]:
+            break
+    value, i, j, sep_ij = best
+    dz = float(logz[j] - logz[i])
+    output = c0 if abs(sep_ij + dz) >= abs(dz - sep_ij) else c1
+    return value, (float(svals[i]), float(svals[j])), output, passes
 
 
 def audit_mechanism(kind: str, lam, c0: float, c1: float, delta1: float, grid: int = 400) -> AuditResult:
@@ -189,7 +255,7 @@ def audit_mechanism(kind: str, lam, c0: float, c1: float, delta1: float, grid: i
         # so its log Z is zero and its worst output c0, where the ratio
         # saturates below both statistics.
         logz = np.log(_normalizer(svals - c0, c1 - svals, lam)) if kind == "trunc" else np.zeros(svals.size)
-        realized, pair, output = _worst_pair(svals, logz, lam, delta1, c0, c1)
+        realized, pair, output, _ = _worst_pair(svals, logz, lam, delta1, c0, c1)
     return AuditResult(
         kind=kind,
         nominal=nominal,

@@ -188,25 +188,21 @@ class RandomStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh numpy Generator positioned at the start of this stream."""
-        return self.generators()[0]
+        return _generators(self._words())[0]
 
-    def generators(self, *shape: int) -> list[np.random.Generator]:
-        """Generators of the child streams ``ids + idx``, one per grid index.
+    def _words(self, *shape: int) -> np.ndarray:
+        """PCG64 state words of the child streams ``ids + idx``, one row of
+        four uint64 per grid index.
 
         ``idx`` runs over the product of ``range(k)`` for each extent ``k``
-        in ``shape``, in C order, so the result equals
-        ``[self.child(*idx).generator() for idx in product(...)]``. The
-        seed and ids are hashed once, and every grid index in one
+        in ``shape``, in C order, and row ``r`` holds the state of
+        ``self.child(*idx)`` for the ``r``-th ``idx``; with no extents the
+        one row is this stream's own. The seed and ids are hashed once, and every grid index in one
         vectorized step.
 
         Raises:
             ValueError: if an extent is not an integer in ``[0, 2**32)``.
         """
-        return _generators(self._words(*shape))
-
-    def _words(self, *shape: int) -> np.ndarray:
-        """The PCG64 state words of the streams :meth:`generators` returns,
-        one row of four uint64 per grid index."""
         shape = tuple(_check_extent(k) for k in shape)
         pool, h = _seed_pool(self.seed)
         pool = list(pool)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import dpsan as d
 from conftest import random_tuples
 from dpsan import dpaudit
+from dpsan.mechanisms import _normalizer
 
 
 def log_ratio_oracle(kind, s, sp, x, lam, c0, c1):
@@ -44,12 +45,18 @@ def dense_pairs(c0, c1, delta1, grid):
 def dense_worst(kind, lam, c0, c1, delta1, pairs):
     """(realized, worst_pair, worst_output) over the dense pair list: the
     audit's arithmetic per pair, maximized with np.argmax."""
+    svals = pairs[0]
+    if kind == "bit":
+        logz = np.zeros(svals.size)
+    else:
+        logz = np.log(-0.5 * (np.expm1(-(svals - c0) / lam) + np.expm1(-(c1 - svals) / lam)))
+    return dense_worst_at(logz, lam, c0, c1, delta1, pairs)
+
+
+def dense_worst_at(logz, lam, c0, c1, delta1, pairs):
+    """dense_worst with log Z given at each statistic."""
     svals, i, j = pairs
     sep = np.minimum(np.abs(svals[i] - svals[j]), delta1) / lam
-    if kind == "bit":
-        k = int(np.argmax(sep))
-        return float(sep[k]), (float(svals[i[k]]), float(svals[j[k]])), c0
-    logz = np.log(-0.5 * (np.expm1(-(svals - c0) / lam) + np.expm1(-(c1 - svals) / lam)))
     dz = logz[j] - logz[i]
     at_c0 = np.abs(sep + dz)
     at_c1 = np.abs(-sep + dz)
@@ -211,10 +218,12 @@ SWEEP_LAMBDAS = (1e-3, 0.01, 0.1, 0.3, 1.0, 10.0, 100.0, 1e4)
 SWEEP_INTERVALS = ((0.0, 1.0), (-3.0, 2.5), (1e-9, 1e-9 + 1e-6), (-1e3, 1e4), (0.1, 0.1000001))
 # sensitivity as a fraction of the interval width, past the width included
 SWEEP_DELTA_FRACS = (1e-7, 0.05, 0.3, 1.0, 2.0)
+# the benchmark audits both kinds at these scales, delta1 = 0.3 on [0, 1]
+BENCH_LAMBDAS = (0.01, 0.1, 1.0, 10.0, 100.0)
 
 
 class TestMatchesDenseReference:
-    """The banded, blocked audit returns the dense audit's bits."""
+    """The pruned, blocked audit returns the dense audit's bits."""
 
     @pytest.mark.parametrize("grid", [100, 137, 400])
     @pytest.mark.parametrize("frac", SWEEP_DELTA_FRACS)
@@ -226,17 +235,78 @@ class TestMatchesDenseReference:
             assert audited(kind, lam, c0, c1, delta1, grid) == dense_worst(kind, lam, c0, c1, delta1, pairs)
 
     def test_band_is_exact(self):
-        # the window is as wide as the widest admitted pair, and no wider
+        # each row's last partner is the dense pair list's last j in that row
         for (c0, c1), frac, grid in itertools.product(SWEEP_INTERVALS, SWEEP_DELTA_FRACS, (100, 137, 400)):
             delta1 = frac * (c1 - c0)
             svals, i, j = dense_pairs(c0, c1, delta1, grid)
-            assert dpaudit._band_width(svals, delta1 * (1.0 + 1e-15)) == 1 + int(np.max(j - i)), (c0, c1, frac, grid)
+            want = np.zeros(svals.size, dtype=int)
+            np.maximum.at(want, i, j)
+            got = dpaudit._last_partners(svals, delta1 * (1.0 + 1e-15))
+            assert np.array_equal(got, want), (c0, c1, frac, grid)
+
+    def test_row_bounds_hold(self):
+        # no computed pair loss in a row exceeds the row's bound
+        for (c0, c1), frac, lam in itertools.product(SWEEP_INTERVALS, SWEEP_DELTA_FRACS, SWEEP_LAMBDAS):
+            delta1 = frac * (c1 - c0)
+            svals, i, j = dense_pairs(c0, c1, delta1, 137)
+            logz = np.log(_normalizer(svals - c0, c1 - svals, lam))
+            loss = np.minimum(svals[j] - svals[i], delta1) / lam + np.abs(logz[j] - logz[i])
+            row_max = np.full(svals.size, -np.inf)
+            np.maximum.at(row_max, i, loss)
+            last = dpaudit._last_partners(svals, delta1 * (1.0 + 1e-15))
+            assert np.all(dpaudit._row_bounds(svals, logz, last, lam, delta1) >= row_max), (c0, c1, frac, lam)
 
     def test_grid_1600(self):
-        # two of the benchmark's audit points
+        # the benchmark's ten audit points
         pairs = dense_pairs(0.0, 1.0, 0.3, 1600)
-        for kind, lam in (("trunc", 0.1), ("bit", 10.0)):
+        for kind, lam in itertools.product(SWEEP_KINDS, BENCH_LAMBDAS):
             assert audited(kind, lam, 0.0, 1.0, 0.3, 1600) == dense_worst(kind, lam, 0.0, 1.0, 0.3, pairs)
+
+    @pytest.mark.parametrize("grid", [100, 400])
+    @pytest.mark.parametrize("kind,c0,c1,delta1", [
+        # a symmetric interval at full width: log Z is mirrored about the
+        # center, so mirrored pairs tie
+        ("trunc", -1.0, 1.0, 2.0),
+        ("trunc", -1.0, 1.0, 1.0),
+        # BIT: every row at least delta1 from c1 ties at delta1 / lam
+        ("bit", 0.0, 1.0, 0.3),
+        ("bit", -1.0, 1.0, 2.0),
+    ])
+    def test_ties_keep_the_first_pair(self, kind, c0, c1, delta1, grid):
+        pairs = dense_pairs(c0, c1, delta1, grid)
+        for lam in SWEEP_LAMBDAS:
+            assert audited(kind, lam, c0, c1, delta1, grid) == dense_worst(kind, lam, c0, c1, delta1, pairs)
+
+    @pytest.mark.parametrize("block_pairs", [1, 500])
+    def test_small_blocks(self, monkeypatch, block_pairs):
+        # one row per block, or a few: the scan's stop and its tie rule
+        # between blocks decide the pair, not one argmax over every row
+        monkeypatch.setattr(dpaudit, "_BLOCK_PAIRS", block_pairs)
+        for (c0, c1), frac in itertools.product(SWEEP_INTERVALS + ((-1.0, 1.0),), SWEEP_DELTA_FRACS):
+            delta1 = frac * (c1 - c0)
+            pairs = dense_pairs(c0, c1, delta1, 100)
+            for kind, lam in itertools.product(SWEEP_KINDS, SWEEP_LAMBDAS):
+                assert audited(kind, lam, c0, c1, delta1, 100) == dense_worst(kind, lam, c0, c1, delta1, pairs)
+
+    @pytest.mark.parametrize("block_pairs", [1, 40, dpaudit._BLOCK_PAIRS])
+    def test_any_log_normalizer_with_ties(self, monkeypatch, block_pairs):
+        # a coarse random log Z on a dyadic grid: exact ties everywhere, and
+        # the worst pair anywhere, so the probe, the bounds, the stop and
+        # the tie rule between blocks all decide the result
+        monkeypatch.setattr(dpaudit, "_BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            svals = np.unique(rng.integers(0, 257, rng.integers(2, 120))) / 256.0
+            logz = -rng.integers(0, 6, svals.size) / 4.0
+            delta1, lam = rng.choice([0.01, 0.125, 0.3, 1.0]), rng.choice([0.25, 1.0, 8.0])
+            diff = svals[None, :] - svals[:, None]
+            i, j = np.nonzero((diff >= 0) & (diff <= delta1 * (1.0 + 1e-15)))
+            want = dense_worst_at(logz, lam, 0.0, 1.0, delta1, (svals, i, j))
+            assert dpaudit._worst_pair(svals, logz, lam, delta1, 0.0, 1.0)[:3] == want
+            row_max = np.full(svals.size, -np.inf)
+            np.maximum.at(row_max, i, np.minimum(svals[j] - svals[i], delta1) / lam + np.abs(logz[j] - logz[i]))
+            last = dpaudit._last_partners(svals, delta1 * (1.0 + 1e-15))
+            assert np.all(dpaudit._row_bounds(svals, logz, last, lam, delta1) >= row_max)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
@@ -262,6 +332,47 @@ class TestMatchesDenseReference:
             want = dense_worst("trunc", 1e30, 0.0, 1e-300, 3e-301, pairs)
         assert math.isnan(got[0]) and math.isnan(want[0])
         assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize("grid", [100, 137])
+    @pytest.mark.parametrize("frac", [0.05, 0.3, 1.0])
+    def test_normalizer_underflowed_on_part_of_the_grid(self, frac, grid):
+        # width / lam is 1.5 subnormal units: Z rounds to zero where both
+        # distances to a bound round below half a unit, but not at the bounds
+        c0, c1, lam = 0.0, 1e-300, 1e-300 / 5e-324 / 1.5
+        delta1 = frac * (c1 - c0)
+        with np.errstate(all="ignore"):
+            svals = dpaudit._statistic_grid(c0, c1, delta1, grid)
+            logz = np.log(_normalizer(svals - c0, c1 - svals, lam))
+            assert np.isfinite(logz[[0, -1]]).all() and np.isneginf(logz).any()
+            pairs = dense_pairs(c0, c1, delta1, grid)
+            got = audited("trunc", lam, c0, c1, delta1, grid)
+            want = dense_worst("trunc", lam, c0, c1, delta1, pairs)
+        assert math.isnan(got[0]) and math.isnan(want[0])
+        assert got[1:] == want[1:]
+
+
+def exact_passes(kind, lam, grid=1600):
+    """The audit's exact scoring passes at delta1 = 0.3 on [0, 1], as row
+    counts (the probe row, then each block), and the number of rows."""
+    svals = dpaudit._statistic_grid(0.0, 1.0, 0.3, grid)
+    logz = np.log(_normalizer(svals - 0.0, 1.0 - svals, lam)) if kind == "trunc" else np.zeros(svals.size)
+    return dpaudit._worst_pair(svals, logz, lam, 0.3, 0.0, 1.0)[3], svals.size
+
+
+class TestAuditWork:
+    """The pruning, counted in rows rather than timed."""
+
+    @pytest.mark.parametrize("lam", BENCH_LAMBDAS)
+    def test_trunc_scores_few_rows(self, lam):
+        passes, rows = exact_passes("trunc", lam)
+        assert sum(passes) <= 0.01 * rows
+
+    @pytest.mark.parametrize("lam", BENCH_LAMBDAS)
+    def test_bit_stops_after_its_first_block(self, lam):
+        # the probe row already reaches the largest bound, delta1 / lam, and
+        # the first block holds the first row that does
+        passes, _ = exact_passes("bit", lam)
+        assert len(passes) == 2 and passes[0] == 1
 
 
 class TestAuditMemory:

@@ -11,7 +11,7 @@ from scipy import integrate, special, stats
 
 import dpsan as d
 from conftest import random_tuples, rejection_trunc_sample
-from dpsan.mechanisms import _Draws, _PCG64Rows
+from dpsan.mechanisms import _Draws, _generators, _PCG64Rows
 
 
 class TestRandomStream:
@@ -49,7 +49,7 @@ class TestRandomStream:
     def test_generators_match_seed_sequence(self, seed, ids, shape):
         # shape () checks generator(), the single stream
         stream = d.RandomStream(seed, ids)
-        gens = stream.generators(*shape) if shape else [stream.generator()]
+        gens = grid_generators(stream, *shape) if shape else [stream.generator()]
         assert type(gens) is list
         grid = list(itertools.product(*map(range, shape)))
         assert len(gens) == len(grid)
@@ -65,7 +65,7 @@ class TestRandomStream:
         stream = d.RandomStream(seed, ids)
         ids = tuple(ids)
         assert stream.generator().bit_generator.state == seed_sequence_rng(seed, ids).bit_generator.state
-        for g, idx in zip(stream.generators(*shape), itertools.product(*map(range, shape)), strict=True):
+        for g, idx in zip(grid_generators(stream, *shape), itertools.product(*map(range, shape)), strict=True):
             assert g.bit_generator.state == seed_sequence_rng(seed, ids + idx).bit_generator.state
 
     def test_acceptance_study_streams_match_seed_sequence(self):
@@ -73,7 +73,7 @@ class TestRandomStream:
         checked = 0
         for config in ACCEPTANCE_CONFIGS:
             for ids, shape in study_cells(config):
-                for g, idx in zip(d.RandomStream(config.seed, ids).generators(*shape),
+                for g, idx in zip(grid_generators(d.RandomStream(config.seed, ids), *shape),
                                   itertools.product(*map(range, shape)), strict=True):
                     spawn_key = ids + idx
                     expected = np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=spawn_key))
@@ -84,15 +84,16 @@ class TestRandomStream:
     @pytest.mark.parametrize("extent", [-1, True, 2.0, "3", None, 2**32])
     def test_generators_reject_invalid_extent(self, extent):
         with pytest.raises(ValueError):
-            d.RandomStream(1).generators(2, extent)
+            d.RandomStream(1)._words(2, extent)
 
     @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4)])
     def test_zero_extent_yields_nothing(self, shape):
-        assert list(d.RandomStream(1, (5,)).generators(*shape)) == []
+        assert d.RandomStream(1, (5,))._words(*shape).shape == (0, 4)
+        assert grid_generators(d.RandomStream(1, (5,)), *shape) == []
 
     def test_generators_accept_numpy_extents(self):
-        a = [g.random() for g in d.RandomStream(4).generators(np.int64(2), np.uint8(3))]
-        assert a == [g.random() for g in d.RandomStream(4).generators(2, 3)]
+        a = d.RandomStream(4)._words(np.int64(2), np.uint8(3))
+        assert np.array_equal(a, d.RandomStream(4)._words(2, 3))
 
     def test_generators_cannot_spawn(self):
         # child() derives substreams; the state words behind a stream's
@@ -100,7 +101,12 @@ class TestRandomStream:
         with pytest.raises(TypeError, match="does not implement spawning"):
             d.RandomStream(1, (2,)).generator().spawn(1)
         with pytest.raises(TypeError, match="does not implement spawning"):
-            d.RandomStream(1).generators(3)[0].spawn(1)
+            grid_generators(d.RandomStream(1), 3)[0].spawn(1)
+
+
+def grid_generators(stream, *shape):
+    """Generators of the child streams over a grid, from their state words."""
+    return _generators(stream._words(*shape))
 
 
 def seed_sequence_rng(seed, spawn_key):
@@ -327,7 +333,7 @@ class TestPCG64Rows:
                                     st.integers(1, 4), st.floats(-300.0, 15.0)), max_size=8))
     def test_matches_generators(self, seed, ids, streams, calls):
         stream = d.RandomStream(seed, ids)
-        src, twins = _PCG64Rows(stream._words(streams)), _Draws(stream.generators(streams))
+        src, twins = _PCG64Rows(stream._words(streams)), _Draws(grid_generators(stream, streams))
         assert self.states(src) == [g.bit_generator.state["state"] for g in twins.generators]
         for kind, mask, k, log_lam in calls:
             rows, lam = np.flatnonzero(mask[:streams]), 10.0**log_lam

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import dpsan as d
 from dpsan.mechanisms import _PCG64Rows
-from dpsan.pipelines import _covariance_cell, _synthesis_cell
+from dpsan.pipelines import _covariance_cell, _synthesis_cell, _wald
+from dpsan.simlab import PROP_TRUTH
 
 B3 = d.AttributeBounds(-3.0, 3.0)
 B45 = d.AttributeBounds(-4.5, 4.5)
@@ -235,6 +237,20 @@ class TestWaldCi:
             d.wald_ci(1.5, 100)
         with pytest.raises(ValueError):
             d.wald_ci(0.5, 0)
+
+    @pytest.mark.parametrize("n,coverage", [
+        (50, (0.8789, 0.9375, 0.9347, 0.9406)),
+        (100, (0.9324, 0.9331, 0.9502, 0.9481)),
+        (200, (0.9271, 0.9412, 0.9440, 0.9489)),
+    ])
+    def test_exact_baseline_coverage(self, n, coverage):
+        # the proportion study's unsanitized arm: each category count is
+        # Bin(n, p), so the interval's coverage of p is a sum over counts.
+        # Plain Wald undercovers p = 0.1 at n = 50 before any noise is added.
+        counts = np.arange(n + 1)
+        lo, hi = _wald(counts / n, n)
+        got = [stats.binom.pmf(counts, n, p)[(lo <= p) & (p <= hi)].sum() for p in PROP_TRUTH]
+        assert np.round(got, 4).tolist() == list(coverage)
 
 
 class TestMultipleSynthesis:
