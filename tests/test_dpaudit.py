@@ -66,6 +66,16 @@ def dense_worst_at(logz, lam, c0, c1, delta1, pairs):
     return float(worst[k]), (float(svals[i[k]]), float(svals[j[k]])), output
 
 
+def row_bounds_hold(logz, lam, delta1, pairs):
+    """Whether each row's bound is at least every pair loss in the row, the
+    losses computed with the audit's arithmetic over the dense pair list."""
+    svals, i, j = pairs
+    row_max = np.full(svals.size, -np.inf)
+    np.maximum.at(row_max, i, np.minimum(svals[j] - svals[i], delta1) / lam + np.abs(logz[j] - logz[i]))
+    last = dpaudit._last_partners(svals, delta1 * (1.0 + 1e-15))
+    return bool(np.all(dpaudit._row_bounds(svals, logz, last, lam, delta1) >= row_max))
+
+
 def audited(kind, lam, c0, c1, delta1, grid):
     res = d.audit_mechanism(kind, lam, c0, c1, delta1, grid)
     return res.realized, res.worst_pair, res.worst_output
@@ -244,17 +254,26 @@ class TestMatchesDenseReference:
             got = dpaudit._last_partners(svals, delta1 * (1.0 + 1e-15))
             assert np.array_equal(got, want), (c0, c1, frac, grid)
 
+    def test_last_partners_on_any_sorted_grid(self):
+        # s_i + thr can round to either side of the last partner, so the
+        # binary search alone misses it both ways; values one ulp around
+        # s_i + thr make both cases common
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            thr = scale * rng.uniform(0.01, 1.0)
+            s = rng.uniform(-5.0, 6.0, 40) * scale
+            s = np.unique(np.concatenate([s, s + thr, np.nextafter(s + thr, np.inf), np.nextafter(s + thr, -np.inf)]))
+            want = [np.flatnonzero(s - si <= thr)[-1] for si in s]
+            assert dpaudit._last_partners(s, thr).tolist() == want
+
     def test_row_bounds_hold(self):
         # no computed pair loss in a row exceeds the row's bound
         for (c0, c1), frac, lam in itertools.product(SWEEP_INTERVALS, SWEEP_DELTA_FRACS, SWEEP_LAMBDAS):
             delta1 = frac * (c1 - c0)
             svals, i, j = dense_pairs(c0, c1, delta1, 137)
             logz = np.log(_normalizer(svals - c0, c1 - svals, lam))
-            loss = np.minimum(svals[j] - svals[i], delta1) / lam + np.abs(logz[j] - logz[i])
-            row_max = np.full(svals.size, -np.inf)
-            np.maximum.at(row_max, i, loss)
-            last = dpaudit._last_partners(svals, delta1 * (1.0 + 1e-15))
-            assert np.all(dpaudit._row_bounds(svals, logz, last, lam, delta1) >= row_max), (c0, c1, frac, lam)
+            assert row_bounds_hold(logz, lam, delta1, (svals, i, j)), (c0, c1, frac, lam)
 
     def test_grid_1600(self):
         # the benchmark's ten audit points
@@ -303,10 +322,7 @@ class TestMatchesDenseReference:
             i, j = np.nonzero((diff >= 0) & (diff <= delta1 * (1.0 + 1e-15)))
             want = dense_worst_at(logz, lam, 0.0, 1.0, delta1, (svals, i, j))
             assert dpaudit._worst_pair(svals, logz, lam, delta1, 0.0, 1.0)[:3] == want
-            row_max = np.full(svals.size, -np.inf)
-            np.maximum.at(row_max, i, np.minimum(svals[j] - svals[i], delta1) / lam + np.abs(logz[j] - logz[i]))
-            last = dpaudit._last_partners(svals, delta1 * (1.0 + 1e-15))
-            assert np.all(dpaudit._row_bounds(svals, logz, last, lam, delta1) >= row_max)
+            assert row_bounds_hold(logz, lam, delta1, (svals, i, j))
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
