@@ -1,12 +1,10 @@
 """Privacy budget accounting.
 
-Spends compose sequentially by addition, except that spends sharing a group
-label are treated as a parallel block and together cost only the block's
-maximum (the releases in such a block touch disjoint parts of the data).
-Sums are taken with ``math.fsum`` so the composed total is the correctly
-rounded value of the exact sum, independent of spend order; budgets built
-from :func:`allocate_equal` shares therefore compose back to their total
-without any tolerance.
+Each release records its own cost as one spend, and spends compose
+sequentially by addition. Sums are taken with ``math.fsum`` so the composed
+total is the correctly rounded value of the exact sum, independent of spend
+order; budgets built from :func:`allocate_equal` shares therefore compose
+back to their total without any tolerance.
 """
 
 from __future__ import annotations
@@ -35,20 +33,15 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class LedgerEntry:
-    """One recorded spend. ``group`` is None for a sequential spend; spends
-    sharing a group label form a parallel block."""
+    """One recorded spend."""
 
     label: str
     epsilon: float
-    group: str | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.label, str) or not self.label:
             raise ValueError(f"label must be a non-empty string, got {self.label!r}")
         object.__setattr__(self, "epsilon", _positive(self.epsilon, "spend"))
-        if self.group is not None:
-            if not isinstance(self.group, str) or not self.group:
-                raise ValueError(f"group must be None or a non-empty string, got {self.group!r}")
 
 
 def allocate_equal(epsilon: float, k: int) -> list[float]:
@@ -72,24 +65,16 @@ def allocate_equal(epsilon: float, k: int) -> list[float]:
 
 
 def compose(entries) -> float:
-    """Effective total budget of a sequence of ledger entries.
-
-    Sequential entries add; each parallel group contributes its maximum.
-    The result does not depend on entry order.
+    """Total budget of a sequence of ledger entries: the sum of their
+    spends, which does not depend on entry order.
     """
     entries = list(entries)
     if not entries:
         raise ValueError("cannot compose an empty entry list")
-    groups: dict[str, float] = {}
-    sequential: list[float] = []
     for e in entries:
         if not isinstance(e, LedgerEntry):
             raise ValueError(f"entries must be LedgerEntry, got {type(e).__name__}")
-        if e.group is None:
-            sequential.append(e.epsilon)
-        else:
-            groups[e.group] = max(groups.get(e.group, 0.0), e.epsilon)
-    return math.fsum(sequential + sorted(groups.values()))
+    return math.fsum(e.epsilon for e in entries)
 
 
 class BudgetLedger:
@@ -97,8 +82,7 @@ class BudgetLedger:
 
     A spend that would push the composed total past the budget is refused
     with :class:`BudgetExceededError` carrying the remaining budget; the
-    ledger is left unchanged. Re-spending within an existing parallel group
-    is free up to the group's current maximum.
+    ledger is left unchanged.
 
     Each spend is decided by :func:`compose` over the recorded entries and
     the new one, so ``spent()`` equals ``compose(entries())`` bit for bit.
@@ -109,8 +93,8 @@ class BudgetLedger:
         self._entries: list[LedgerEntry] = []
         self._spent = 0.0
 
-    def spend(self, label: str, epsilon: float, group: str | None = None) -> LedgerEntry:
-        entry = LedgerEntry(label, epsilon, group)
+    def spend(self, label: str, epsilon: float) -> LedgerEntry:
+        entry = LedgerEntry(label, epsilon)
         would_spend = compose(self._entries + [entry])
         if would_spend > self.total:
             remaining = self.remaining()

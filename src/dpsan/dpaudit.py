@@ -98,7 +98,7 @@ def _row_bounds(svals: np.ndarray, logz: np.ndarray, last: np.ndarray, lam: floa
     ``zmax`` and ``zmin`` the extremes of log Z over the row's partners.
     Every operation in a pair's loss is monotone in its operands, and
     rounding is monotone too, so the bound holds for the computed losses,
-    not only for the exact ones. It is NaN in a row whose log Z is -inf.
+    not only for the exact ones.
 
     The extremes come from a sparse table: level ``k`` holds the extremes of
     the ``2**k`` values from each start, and a row of ``2**k`` to
@@ -139,11 +139,10 @@ def _worst_pair(svals: np.ndarray, logz: np.ndarray, lam: float, delta1: float, 
     (see :func:`_row_bounds`). The row with the largest bound is scored
     first; its maximum L is a lower bound on the answer, so only rows with
     ``U >= L`` can hold it. Those rows are scored in order, a block at a
-    time over a window of the band's width, in buffers allocated once per
-    call, and the scan stops once no row left has a bound above the best
-    loss so far. The result is the first maximum in row-major pair order,
-    the same pair ``np.argmax`` picks over the full pair list, with the same
-    arithmetic per pair.
+    time over a window of the band's width, and the scan stops once no row
+    left has a bound above the best loss so far. The result is the first
+    maximum in row-major pair order, the same pair ``np.argmax`` picks over
+    the full pair list, with the same arithmetic per pair.
 
     Returns ``(realized, (s, s'), worst_output, passes)``, where ``passes``
     lists the number of rows each exact scoring pass covered.
@@ -157,43 +156,29 @@ def _worst_pair(svals: np.ndarray, logz: np.ndarray, lam: float, delta1: float, 
     # padding lies past the threshold, so it is never admitted
     s_win = sliding_window_view(np.concatenate([svals, np.full(width - 1, np.inf)]), width)
     z_win = sliding_window_view(np.concatenate([logz, np.zeros(width - 1)]), width)
-    sep, loss = np.empty((block, width)), np.empty((block, width))
-    outside = np.empty((block, width), dtype=bool)
     passes = []
 
     def score(rows: np.ndarray) -> tuple[float, int, int, float]:
         """First maximum over the admitted pairs of ``rows``, taken in
         order: ``(loss, i, j, |s_j - s_i| / lam)``."""
-        b = rows.size
-        passes.append(b)
-        sep_b, loss_b, out_b = sep[:b], loss[:b], outside[:b]
+        passes.append(rows.size)
         # s_j >= s_i, so s_j - s_i equals |s_i - s_j| bit for bit
-        np.subtract(s_win[rows], svals[rows, None], out=sep_b)
-        np.greater(sep_b, thr, out=out_b)
+        sep = s_win[rows] - svals[rows, None]
+        outside = sep > thr
         # pairs are admitted up to the slack, so clamp the roundoff
         # inflation back to the true separation cap
-        np.minimum(sep_b, delta1, out=sep_b)
-        np.divide(sep_b, lam, out=sep_b)
+        sep = np.minimum(sep, delta1) / lam
         # for sep >= 0, sep + |dz| is max(|sep + dz|, |dz - sep|) bit for bit
-        np.abs(np.subtract(z_win[rows], logz[rows, None], out=loss_b), out=loss_b)
-        np.add(sep_b, loss_b, out=loss_b)
-        np.copyto(loss_b, -np.inf, where=out_b)
-        row, col = divmod(int(np.argmax(loss_b)), width)
+        loss = sep + np.abs(z_win[rows] - logz[rows, None])
+        loss[outside] = -np.inf
+        row, col = divmod(int(np.argmax(loss)), width)
         i = int(rows[row])
-        return float(loss_b[row, col]), i, i + col, float(sep_b[row, col])
+        return float(loss[row, col]), i, i + col, float(sep[row, col])
 
     bound = _row_bounds(svals, logz, last, lam, delta1)
-    if np.isnan(bound).any():
-        # log Z underflowed to -inf, so some losses are NaN. A block keeps
-        # its first NaN, as np.argmax does, and a NaN never displaces an
-        # earlier block's number, so which one wins depends on the blocks:
-        # they cover every row in order, and the scan stops only once no
-        # NaN row is left.
-        order = np.arange(n)
-    else:
-        order = np.flatnonzero(bound >= score(np.array([np.argmax(bound)]))[0])
-    # the largest bound among the rows from each position on (NaN while a
-    # row with a NaN bound is left), then -inf past the end
+    order = np.flatnonzero(bound >= score(np.array([np.argmax(bound)]))[0])
+    # the largest bound among the rows from each position on, then -inf
+    # past the end
     ahead = np.append(np.maximum.accumulate(bound[order][::-1])[::-1], -np.inf)
     best = None
     for p0 in range(0, order.size, block):
@@ -227,6 +212,9 @@ def audit_mechanism(kind: str, lam, c0: float, c1: float, delta1: float, grid: i
     the plain mechanism the bound ``delta1 / lam`` is tight and returned in
     closed form.
 
+    Raises ``ValueError`` when the truncated mechanism's normalizer Z
+    underflows to 0 at some grid statistic: the loss there is not a double.
+
     Returns:
         AuditResult; ``passed`` compares against the nominal
         ``delta1 / lam`` with a 1e-9 tolerance. A truncated-mechanism
@@ -252,10 +240,13 @@ def audit_mechanism(kind: str, lam, c0: float, c1: float, delta1: float, grid: i
         svals = _statistic_grid(c0, c1, delta1, grid)
         # Only the truncated normalizer Z depends on the statistic. BIT's
         # interior and boundary-mass ratios all peak at exp(|s - s'| / lam),
-        # so its log Z is zero and its worst output c0, where the ratio
+        # so its Z is one and its worst output c0, where the ratio
         # saturates below both statistics.
-        logz = np.log(_normalizer(svals - c0, c1 - svals, lam)) if kind == "trunc" else np.zeros(svals.size)
-        realized, pair, output, _ = _worst_pair(svals, logz, lam, delta1, c0, c1)
+        z = _normalizer(svals - c0, c1 - svals, lam) if kind == "trunc" else np.ones(svals.size)
+        if not z.all():
+            raise ValueError(f"noise scale {lam!r} dwarfs the interval [{c0!r}, {c1!r}]: the "
+                             "truncation normalizer underflows to 0, so the loss is not a double")
+        realized, pair, output, _ = _worst_pair(svals, np.log(z), lam, delta1, c0, c1)
     return AuditResult(
         kind=kind,
         nominal=nominal,

@@ -146,14 +146,12 @@ def _covariance_releases(S, n, bounds, epsilon, mechanism, draws, ledger=None):
         lo, hi = variance_output_bounds(n, b)
         if not lo <= value <= hi:
             raise ValueError(f"{label}={value} is not attainable for n={n} within {b}")
-        if ledger is not None:
-            ledger.spend(label, share)
         diagonal.append((value, gs_catalog("variance", n, b) / share, lo, hi))
+    if ledger is not None:
+        ledger.spend("covariance", epsilon)
     s11, s22 = (sample(draws, rows, np.full((rows.size, 1), value), lam, lo, hi, 1)[:, 0]
                 for value, lam, lo, hi in diagonal)
 
-    if ledger is not None:
-        ledger.spend("S12", shares[2])
     lo12, hi12 = covariance_output_bounds(s11, s22)
     # where a sanitized variance collapsed to zero, so does the interval,
     # and s12 is released as zero without a draw
@@ -192,9 +190,9 @@ def sanitize_covariance(S: CovMatrix2, n: int, bounds, epsilon: float, mechanism
         epsilon: total privacy budget for the release.
         mechanism: ``trunc`` or ``bit``.
         rng: :class:`RandomStream` or numpy Generator.
-        ledger: optional ledger that records the three spends, which
-            total ``epsilon`` exactly, and refuses them if it cannot cover
-            them. Without one nothing is recorded.
+        ledger: optional ledger; it records ``("covariance", epsilon)``
+            after the input checks and before the first draw, or refuses
+            the release. Without one nothing is recorded.
     """
     s11, s22, s12 = _covariance_releases(S, n, bounds, epsilon, mechanism, _Draws([_as_generator(rng)]), ledger)
     return CovMatrix2(s11[0], s22[0], s12[0])
@@ -241,23 +239,22 @@ def sanitize_proportions(counts, epsilon: float, mechanism: str, rng, ledger: Bu
     """Release sanitized proportions of four categories partitioning n records.
 
     Each raw proportion is sanitized on [0, 1] with sensitivity 1/n under
-    the full budget; the categories partition the data, so the four spends
-    form one parallel group costing ``epsilon`` total. The draws are then
+    the full budget; the categories partition the data, so by parallel
+    composition the four together cost ``epsilon``. The draws are then
     renormalized to sum to one. If every draw comes back zero the release
     is resampled once; a second all-zero outcome raises
     :class:`RenormalizationDegenerateError`. The release takes four draws
     from ``rng``, or eight when it is resampled.
 
-    ``ledger``, if given, records the four spends and refuses them when it
-    cannot cover ``epsilon``; without one nothing is recorded.
+    ``ledger``, if given, records ``("proportions", epsilon)`` after the
+    input checks and before the first draw, or refuses the release.
     """
     phat, n = _proportions_of(counts)
     epsilon = _positive(epsilon, "privacy budget")
     _sampler(mechanism)  # an unknown name fails before any spend or draw
     draws = _Draws([_as_generator(rng)])
     if ledger is not None:
-        for k in range(4):
-            ledger.spend(f"p{k + 1}", epsilon, group="categories")
+        ledger.spend("proportions", epsilon)
     p = _renormalized(phat, n, epsilon, mechanism, draws, draws.rows)
     if math.isnan(p[0, 0]):
         raise _degenerate(n, epsilon, mechanism)
@@ -294,7 +291,7 @@ def wald_ci(p: float, n: int) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _synthesize(phat, n: int, shares, mechanism: str, draws, ledger=None):
+def _synthesize(phat, n: int, shares, mechanism: str, draws):
     """Release each row of ``phat`` once per share: an array (rows, m, 4).
 
     A row stops at its first degenerate release: that set and every later
@@ -305,8 +302,6 @@ def _synthesize(phat, n: int, shares, mechanism: str, draws, ledger=None):
     for i, share in enumerate(shares):
         if not live.size:
             break
-        if ledger is not None:
-            ledger.spend(f"set{i + 1}", share)
         sets[live, i] = _renormalized(phat[live], n, share, mechanism, draws, draws.rows[live])
         live = live[np.isfinite(sets[live, i, 0])]
     return sets
@@ -334,15 +329,17 @@ def multiple_synthesis(counts, epsilon: float, m: int, mechanism: str, rng, ledg
     normal reference; with ``m = 1``, B vanishes and the bundle reduces to
     a single release with its Wald interval. Intervals are 95%.
 
-    ``ledger``, if given, records one spend per release and refuses them
-    when it cannot cover ``epsilon``; without one nothing is recorded.
+    ``ledger``, if given, records ``("synthesis", epsilon)`` after the
+    input checks and before the first draw, or refuses the release.
     """
     m = _count(m, "release count")
     draws = _Draws([_as_generator(rng)])
     shares = allocate_equal(epsilon, m)
     phat, n = _proportions_of(counts)
     _sampler(mechanism)
-    sets = _synthesize(phat, n, shares, mechanism, draws, ledger)
+    if ledger is not None:
+        ledger.spend("synthesis", epsilon)
+    sets = _synthesize(phat, n, shares, mechanism, draws)
     failed = np.isnan(sets[0, :, 0])
     if failed.any():
         raise _degenerate(n, shares[int(failed.argmax())], mechanism)

@@ -44,7 +44,7 @@ class TestAllocateEqual:
 class TestLedgerEntry:
     def test_fields(self):
         e = d.LedgerEntry("s11", 0.25)
-        assert e.label == "s11" and e.epsilon == 0.25 and e.group is None
+        assert e.label == "s11" and e.epsilon == 0.25
 
     def test_rejects_bad_labels_and_budgets(self):
         with pytest.raises(ValueError):
@@ -53,8 +53,6 @@ class TestLedgerEntry:
             d.LedgerEntry("ok", 0.0)
         with pytest.raises(ValueError):
             d.LedgerEntry("ok", math.nan)
-        with pytest.raises(ValueError):
-            d.LedgerEntry("ok", 0.1, group="")
         for flag in (True, np.True_):
             with pytest.raises(ValueError, match="spend must be finite and positive"):
                 d.LedgerEntry("ok", flag)
@@ -64,23 +62,6 @@ class TestCompose:
     def test_sequential_spends_add(self):
         entries = [d.LedgerEntry("a", 0.2), d.LedgerEntry("b", 0.3)]
         assert d.compose(entries) == 0.5
-
-    def test_parallel_group_contributes_its_maximum(self):
-        entries = [
-            d.LedgerEntry("cat1", 0.5, group="categories"),
-            d.LedgerEntry("cat2", 0.5, group="categories"),
-            d.LedgerEntry("cat3", 0.5, group="categories"),
-        ]
-        assert d.compose(entries) == 0.5
-
-    def test_mixed_sequential_and_parallel(self):
-        entries = [
-            d.LedgerEntry("seq", 0.25),
-            d.LedgerEntry("g1a", 0.5, group="g1"),
-            d.LedgerEntry("g1b", 0.75, group="g1"),
-            d.LedgerEntry("g2a", 0.1, group="g2"),
-        ]
-        assert d.compose(entries) == 0.25 + 0.75 + 0.1
 
     def test_order_independent(self):
         rng = np.random.default_rng(8)
@@ -122,14 +103,6 @@ class TestBudgetLedger:
         assert led.spent() == 0.75
         led.spend("extra", 0.25)  # the exact remainder still fits
 
-    def test_parallel_spends_share_budget(self):
-        led = d.BudgetLedger(1.0)
-        for i in range(4):
-            led.spend(f"cat{i}", 1.0, group="categories")
-        assert led.spent() == 1.0
-        with pytest.raises(d.BudgetExceededError):
-            led.spend("more", 0.5)
-
     def test_rejects_invalid_total(self):
         for bad in (0.0, -1.0, math.inf, math.nan, True, np.True_):
             with pytest.raises(ValueError):
@@ -138,12 +111,9 @@ class TestBudgetLedger:
 
 # spends drawn from exact shares of the total as well as arbitrary floats,
 # so budgets are hit exactly as often as they are overdrawn
-_spend = st.tuples(
-    st.one_of(
-        st.sampled_from([1, 2, 3, 5, 7]).flatmap(lambda k: st.sampled_from(d.allocate_equal(1.0, k))),
-        st.floats(min_value=1e-3, max_value=1.5),
-    ),
-    st.sampled_from([None, None, "a", "b", "c"]),
+_spend = st.one_of(
+    st.sampled_from([1, 2, 3, 5, 7]).flatmap(lambda k: st.sampled_from(d.allocate_equal(1.0, k))),
+    st.floats(min_value=1e-3, max_value=1.5),
 )
 
 
@@ -154,12 +124,12 @@ class TestIncrementalLedger:
     @given(total=st.sampled_from([1.0, 0.5, 2.0, 0.1 + 0.2]), spends=st.lists(_spend, max_size=25))
     def test_matches_compose(self, total, spends):
         led = d.BudgetLedger(total)
-        for i, (eps, group) in enumerate(spends):
-            entry = d.LedgerEntry(f"s{i}", eps, group)
+        for i, eps in enumerate(spends):
+            entry = d.LedgerEntry(f"s{i}", eps)
             before_entries, before_spent = led.entries(), led.spent()
             refuse = d.compose(before_entries + (entry,)) > total
             try:
-                led.spend(entry.label, eps, group)
+                led.spend(entry.label, eps)
             except d.BudgetExceededError:
                 assert refuse
                 assert led.entries() == before_entries

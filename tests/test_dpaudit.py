@@ -30,21 +30,39 @@ def log_ratio_oracle(kind, s, sp, x, lam, c0, c1):
     return abs(-abs(x - s) / lam - (-abs(x - sp) / lam))
 
 
-def dense_pairs(c0, c1, delta1, grid):
-    """Statistic grid and every admitted pair (i, j), i <= j, in row-major
-    order, taken from the full N x N distance matrix."""
+# rows of the N x N distance matrix the dense reference holds at a time
+DENSE_ROWS = 128
+
+
+def dense_grid(c0, c1, delta1, grid):
+    """The statistic grid: each base point and its clipped +/- delta1 shifts."""
     base = np.linspace(c0, c1, grid)
     shifted = np.clip(np.concatenate([base - delta1, base + delta1]), c0, c1)
-    svals = np.unique(np.concatenate([base, shifted]))
-    diff = np.abs(svals[:, None] - svals[None, :])
-    upper = np.triu(np.ones((svals.size, svals.size), dtype=bool))
-    i, j = np.nonzero((diff <= delta1 * (1.0 + 1e-15)) & upper)
-    return svals, i, j
+    return np.unique(np.concatenate([base, shifted]))
+
+
+def dense_blocks(svals, delta1):
+    """Every admitted pair (i, j), i <= j, in row-major order, as (i, j)
+    blocks each taken from DENSE_ROWS rows of the N x N distance matrix."""
+    n = svals.size
+    for r0 in range(0, n, DENSE_ROWS):
+        rows, cols = np.arange(r0, min(r0 + DENSE_ROWS, n)), np.arange(r0, n)
+        # the columns before r0 lie below the diagonal in every row here
+        diff = np.abs(svals[rows, None] - svals[None, cols])
+        i, j = np.nonzero((diff <= delta1 * (1.0 + 1e-15)) & (rows[:, None] <= cols))
+        yield rows[i], cols[j]
+
+
+def dense_pairs(c0, c1, delta1, grid):
+    """Statistic grid and the list of its dense pair blocks."""
+    svals = dense_grid(c0, c1, delta1, grid)
+    return svals, list(dense_blocks(svals, delta1))
 
 
 def dense_worst(kind, lam, c0, c1, delta1, pairs):
-    """(realized, worst_pair, worst_output) over the dense pair list: the
-    audit's arithmetic per pair, maximized with np.argmax."""
+    """(realized, worst_pair, worst_output) over the dense pairs, a grid and
+    its blocks: the audit's arithmetic per pair, maximized as np.argmax
+    maximizes the whole pair list."""
     svals = pairs[0]
     if kind == "bit":
         logz = np.zeros(svals.size)
@@ -55,23 +73,30 @@ def dense_worst(kind, lam, c0, c1, delta1, pairs):
 
 def dense_worst_at(logz, lam, c0, c1, delta1, pairs):
     """dense_worst with log Z given at each statistic."""
-    svals, i, j = pairs
-    sep = np.minimum(np.abs(svals[i] - svals[j]), delta1) / lam
-    dz = logz[j] - logz[i]
-    at_c0 = np.abs(sep + dz)
-    at_c1 = np.abs(-sep + dz)
-    worst = np.maximum(at_c0, at_c1)
-    k = int(np.argmax(worst))
-    output = c0 if at_c0[k] >= at_c1[k] else c1
-    return float(worst[k]), (float(svals[i[k]]), float(svals[j[k]])), output
+    svals, blocks = pairs
+    best = None
+    for i, j in blocks:
+        sep = np.minimum(np.abs(svals[i] - svals[j]), delta1) / lam
+        dz = logz[j] - logz[i]
+        at_c0 = np.abs(sep + dz)
+        at_c1 = np.abs(-sep + dz)
+        worst = np.maximum(at_c0, at_c1)
+        k = int(np.argmax(worst))
+        # a later block wins only when strictly greater, so the first
+        # maximum in row-major order wins, as np.argmax picks it
+        if best is None or worst[k] > best[0]:
+            output = c0 if at_c0[k] >= at_c1[k] else c1
+            best = float(worst[k]), (float(svals[i[k]]), float(svals[j[k]])), output
+    return best
 
 
 def row_bounds_hold(logz, lam, delta1, pairs):
     """Whether each row's bound is at least every pair loss in the row, the
-    losses computed with the audit's arithmetic over the dense pair list."""
-    svals, i, j = pairs
+    losses computed with the audit's arithmetic over the dense pairs."""
+    svals, blocks = pairs
     row_max = np.full(svals.size, -np.inf)
-    np.maximum.at(row_max, i, np.minimum(svals[j] - svals[i], delta1) / lam + np.abs(logz[j] - logz[i]))
+    for i, j in blocks:
+        np.maximum.at(row_max, i, np.minimum(svals[j] - svals[i], delta1) / lam + np.abs(logz[j] - logz[i]))
     last = dpaudit._last_partners(svals, delta1 * (1.0 + 1e-15))
     return bool(np.all(dpaudit._row_bounds(svals, logz, last, lam, delta1) >= row_max))
 
@@ -248,9 +273,10 @@ class TestMatchesDenseReference:
         # each row's last partner is the dense pair list's last j in that row
         for (c0, c1), frac, grid in itertools.product(SWEEP_INTERVALS, SWEEP_DELTA_FRACS, (100, 137, 400)):
             delta1 = frac * (c1 - c0)
-            svals, i, j = dense_pairs(c0, c1, delta1, grid)
+            svals, blocks = dense_pairs(c0, c1, delta1, grid)
             want = np.zeros(svals.size, dtype=int)
-            np.maximum.at(want, i, j)
+            for i, j in blocks:
+                np.maximum.at(want, i, j)
             got = dpaudit._last_partners(svals, delta1 * (1.0 + 1e-15))
             assert np.array_equal(got, want), (c0, c1, frac, grid)
 
@@ -271,14 +297,16 @@ class TestMatchesDenseReference:
         # no computed pair loss in a row exceeds the row's bound
         for (c0, c1), frac, lam in itertools.product(SWEEP_INTERVALS, SWEEP_DELTA_FRACS, SWEEP_LAMBDAS):
             delta1 = frac * (c1 - c0)
-            svals, i, j = dense_pairs(c0, c1, delta1, 137)
-            logz = np.log(_normalizer(svals - c0, c1 - svals, lam))
-            assert row_bounds_hold(logz, lam, delta1, (svals, i, j)), (c0, c1, frac, lam)
+            pairs = dense_pairs(c0, c1, delta1, 137)
+            logz = np.log(_normalizer(pairs[0] - c0, c1 - pairs[0], lam))
+            assert row_bounds_hold(logz, lam, delta1, pairs), (c0, c1, frac, lam)
 
     def test_grid_1600(self):
-        # the benchmark's ten audit points
-        pairs = dense_pairs(0.0, 1.0, 0.3, 1600)
+        # the benchmark's ten audit points; each builds its pair blocks
+        # afresh, so one block of the 3.3 million pairs is held at a time
+        svals = dense_grid(0.0, 1.0, 0.3, 1600)
         for kind, lam in itertools.product(SWEEP_KINDS, BENCH_LAMBDAS):
+            pairs = svals, dense_blocks(svals, 0.3)
             assert audited(kind, lam, 0.0, 1.0, 0.3, 1600) == dense_worst(kind, lam, 0.0, 1.0, 0.3, pairs)
 
     @pytest.mark.parametrize("grid", [100, 400])
@@ -318,11 +346,10 @@ class TestMatchesDenseReference:
             svals = np.unique(rng.integers(0, 257, rng.integers(2, 120))) / 256.0
             logz = -rng.integers(0, 6, svals.size) / 4.0
             delta1, lam = rng.choice([0.01, 0.125, 0.3, 1.0]), rng.choice([0.25, 1.0, 8.0])
-            diff = svals[None, :] - svals[:, None]
-            i, j = np.nonzero((diff >= 0) & (diff <= delta1 * (1.0 + 1e-15)))
-            want = dense_worst_at(logz, lam, 0.0, 1.0, delta1, (svals, i, j))
+            pairs = svals, list(dense_blocks(svals, delta1))
+            want = dense_worst_at(logz, lam, 0.0, 1.0, delta1, pairs)
             assert dpaudit._worst_pair(svals, logz, lam, delta1, 0.0, 1.0)[:3] == want
-            assert row_bounds_hold(logz, lam, delta1, (svals, i, j))
+            assert row_bounds_hold(logz, lam, delta1, pairs)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
@@ -340,14 +367,10 @@ class TestMatchesDenseReference:
         pairs = dense_pairs(c0, c1, delta1, grid)
         assert audited(kind, lam, c0, c1, delta1, grid) == dense_worst(kind, lam, c0, c1, delta1, pairs)
 
-    def test_underflowed_normalizer_gives_the_same_nan(self):
-        # width / lam underflows, so log Z is -inf at both interval ends
-        with np.errstate(all="ignore"):
-            pairs = dense_pairs(0.0, 1e-300, 3e-301, 100)
-            got = audited("trunc", 1e30, 0.0, 1e-300, 3e-301, 100)
-            want = dense_worst("trunc", 1e30, 0.0, 1e-300, 3e-301, pairs)
-        assert math.isnan(got[0]) and math.isnan(want[0])
-        assert got[1:] == want[1:]
+    def test_underflowed_normalizer_is_refused(self):
+        # width / lam underflows, so Z is 0 at both interval ends
+        with pytest.raises(ValueError, match="normalizer underflows"):
+            audited("trunc", 1e30, 0.0, 1e-300, 3e-301, 100)
 
     @pytest.mark.parametrize("grid", [100, 137])
     @pytest.mark.parametrize("frac", [0.05, 0.3, 1.0])
@@ -356,15 +379,11 @@ class TestMatchesDenseReference:
         # distances to a bound round below half a unit, but not at the bounds
         c0, c1, lam = 0.0, 1e-300, 1e-300 / 5e-324 / 1.5
         delta1 = frac * (c1 - c0)
-        with np.errstate(all="ignore"):
-            svals = dpaudit._statistic_grid(c0, c1, delta1, grid)
-            logz = np.log(_normalizer(svals - c0, c1 - svals, lam))
-            assert np.isfinite(logz[[0, -1]]).all() and np.isneginf(logz).any()
-            pairs = dense_pairs(c0, c1, delta1, grid)
-            got = audited("trunc", lam, c0, c1, delta1, grid)
-            want = dense_worst("trunc", lam, c0, c1, delta1, pairs)
-        assert math.isnan(got[0]) and math.isnan(want[0])
-        assert got[1:] == want[1:]
+        svals = dpaudit._statistic_grid(c0, c1, delta1, grid)
+        z = _normalizer(svals - c0, c1 - svals, lam)
+        assert z[[0, -1]].all() and not z.all()
+        with pytest.raises(ValueError, match="normalizer underflows"):
+            audited("trunc", lam, c0, c1, delta1, grid)
 
 
 def exact_passes(kind, lam, grid=1600):

@@ -84,7 +84,7 @@ class TestSanitizeCovariance:
         led = d.BudgetLedger(1.0)
         d.sanitize_covariance(self.S, 50, (B3, B45), 1.0, "trunc", d.RandomStream(1), ledger=led)
         assert led.spent() == 1.0
-        assert [e.label for e in led.entries()] == ["S11", "S22", "S12"]
+        assert led.entries() == (d.LedgerEntry("covariance", 1.0),)
 
     @pytest.mark.parametrize("mechanism", ["trunc", "bit"])
     def test_output_respects_all_bounds(self, mechanism):
@@ -148,6 +148,22 @@ class TestSanitizeCovariance:
         with pytest.raises(d.BudgetExceededError):
             d.sanitize_covariance(self.S, 50, (B3, B45), 1.0, "trunc", d.RandomStream(8), ledger=led)
 
+    def test_unattainable_variance_records_nothing(self):
+        # S11 is attainable but S22 is not: the release is refused whole
+        led = d.BudgetLedger(1.0)
+        with pytest.raises(ValueError, match="S22"):
+            d.sanitize_covariance(d.CovMatrix2(1.0, 100.0, 0.0), 50, (B3, B3), 1.0, "trunc",
+                                  d.RandomStream(8), ledger=led)
+        assert led.entries() == () and led.spent() == 0.0
+
+    def test_refused_release_records_and_draws_nothing(self):
+        led = d.BudgetLedger(0.5)
+        g = np.random.default_rng(8)
+        with pytest.raises(d.BudgetExceededError):
+            d.sanitize_covariance(self.S, 50, (B3, B45), 1.0, "trunc", g, ledger=led)
+        assert led.entries() == () and led.spent() == 0.0
+        assert g.bit_generator.state == np.random.default_rng(8).bit_generator.state
+
     def test_deterministic_given_stream(self):
         a = d.sanitize_covariance(self.S, 50, (B3, B45), 1.0, "trunc", d.RandomStream(9))
         b = d.sanitize_covariance(self.S, 50, (B3, B45), 1.0, "trunc", d.RandomStream(9))
@@ -168,7 +184,7 @@ class TestSanitizeProportions:
         led = d.BudgetLedger(0.5)
         d.sanitize_proportions(self.COUNTS, 0.5, "trunc", d.RandomStream(12), ledger=led)
         assert led.spent() == 0.5
-        assert all(e.group == "categories" for e in led.entries())
+        assert led.entries() == (d.LedgerEntry("proportions", 0.5),)
 
     def test_huge_budget_recovers_proportions(self):
         out = d.sanitize_proportions((100, 200, 300, 400), 1e6, "trunc", d.RandomStream(13))
@@ -242,6 +258,9 @@ class TestWaldCi:
         (50, (0.8789, 0.9375, 0.9347, 0.9406)),
         (100, (0.9324, 0.9331, 0.9502, 0.9481)),
         (200, (0.9271, 0.9412, 0.9440, 0.9489)),
+        (300, (0.9376, 0.9470, 0.9478, 0.9484)),
+        (400, (0.9494, 0.9460, 0.9504, 0.9474)),
+        (500, (0.9427, 0.9486, 0.9490, 0.9504)),
     ])
     def test_exact_baseline_coverage(self, n, coverage):
         # the proportion study's unsanitized arm: each category count is
@@ -293,7 +312,15 @@ class TestMultipleSynthesis:
         led = d.BudgetLedger(1.0)
         d.multiple_synthesis(self.COUNTS, 1.0, 7, "trunc", d.RandomStream(25), ledger=led)
         assert led.spent() == 1.0
-        assert len(led.entries()) == 7
+        assert led.entries() == (d.LedgerEntry("synthesis", 1.0),)
+
+    def test_refused_bundle_records_and_draws_nothing(self):
+        led = d.BudgetLedger(0.5)
+        g = np.random.default_rng(25)
+        with pytest.raises(d.BudgetExceededError):
+            d.multiple_synthesis(self.COUNTS, 1.0, 2, "trunc", g, ledger=led)
+        assert led.entries() == () and led.spent() == 0.0
+        assert g.bit_generator.state == np.random.default_rng(25).bit_generator.state
 
     def test_deterministic_given_stream(self):
         a = d.multiple_synthesis(self.COUNTS, 1.0, 4, "trunc", d.RandomStream(26))
