@@ -263,23 +263,6 @@ def _normalizer(d0, d1, lam: float):
     return -0.5 * (np.expm1(-d0 / lam) + np.expm1(-d1 / lam))
 
 
-def _laplace_cdf_gap(x, s: float, lam: float, c0: float):
-    """F(x) - F(c0) for the Laplace(s, lam) CDF, cancellation-free.
-
-    Written with expm1 so the gap stays accurate even when lam dwarfs the
-    interval and both CDF values sit next to 0.5.
-    """
-    x = np.asarray(x, dtype=float)
-    z = (x - s) / lam
-    z0 = (c0 - s) / lam  # <= 0 whenever c0 <= s
-    # both branches are evaluated by where(), so cap the dead branch's
-    # exponent to keep expm1 finite; exp(z0) already underflows to 0 there
-    gap = np.minimum(np.minimum(z, 0.0) - z0, 709.0)
-    below = 0.5 * np.exp(z0) * np.expm1(gap)
-    above = -0.5 * (np.expm1(-np.maximum(z, 0.0)) + np.expm1(z0))
-    return np.where(z < 0.0, below, above)
-
-
 def trunc_laplace_pdf(x, s: float, lam, c0: float, c1: float):
     """Density of the truncated Laplace release at ``x``.
 
@@ -306,13 +289,26 @@ def trunc_laplace_pdf(x, s: float, lam, c0: float, c1: float):
 
 
 def trunc_laplace_cdf(x, s: float, lam, c0: float, c1: float):
-    """CDF of the truncated Laplace release (0 below c0, 1 above c1; NaN is refused)."""
+    """CDF of the truncated Laplace release (0 below c0, 1 above c1; NaN is refused).
+
+    The kernel's mass on ``[c0, x]`` over Z. At or above s that mass is the
+    normalizer with x in place of c1; below s it is the left tail
+    ``-e^{(x - s)/lam} expm1((c0 - x)/lam) / 2``. Both keep their relative
+    accuracy at every scale.
+    """
     lam = _check_support(s, lam, c0, c1)
     xv = np.asarray(x, dtype=float)
     if np.isnan(xv).any():
         raise ValueError("CDF requested at NaN")
-    z = _normalizer(s - c0, c1 - s, lam)
-    out = np.clip(_laplace_cdf_gap(np.clip(xv, c0, c1), s, lam, c0) / z, 0.0, 1.0)
+    xc = np.clip(xv, c0, c1)
+    dx = xc - s
+    # each branch sees x - s clamped to its own side of s, so the branch
+    # where() discards stays finite
+    below = -0.5 * np.exp(np.minimum(dx, 0.0) / lam) * np.expm1((c0 - xc) / lam)
+    above = _normalizer(s - c0, np.maximum(dx, 0.0), lam)
+    mass = np.where(dx < 0.0, below, above)
+    # the clip guards a one-ulp excess over Z when s = c1
+    out = np.clip(mass / _normalizer(s - c0, c1 - s, lam), 0.0, 1.0)
     return float(out) if xv.ndim == 0 else out
 
 

@@ -21,6 +21,7 @@ import pytest
 from scipy import optimize, stats
 
 import dpsan as d
+from dpsan.pipelines import _wald
 from conftest import bit_moments_oracle, random_tuples, replicate_rows, trunc_moments_oracle
 
 ACCEPT_SEED = 2
@@ -329,3 +330,27 @@ def test_criterion_12_variance_releases_match_their_closed_form_means(cov_run):
     assert len(z) == 40
     worst = max(z, key=lambda key: abs(z[key]))
     assert abs(z[worst]) <= K, f"{worst}: simulated mean {z[worst]:+.2f} SE from the closed form"
+
+
+def test_criterion_13_original_arm_matches_exact_wald_coverage(prop_run):
+    # the unsanitized arm's coverage against its exact value: each category
+    # count is Bin(n, p), so the Wald interval covers p with a probability
+    # that is a sum over counts. Each of the 72 cells (3 eps x 6 n x 4 p)
+    # lies within K binomial standard errors of it. K = 3.81 was fixed before
+    # the run: the two-sided Bonferroni bound at alpha = 0.01 over 72 cells,
+    # the normal quantile at 1 - 0.01 / (2 * 72).
+    K = 3.81
+    report, _ = prop_run
+    reps = Counter((r.eps, r.n, r.mechanism, r.stat) for r in replicate_rows(report))
+    z = {}
+    for r in report.summary:
+        if r.mechanism != "original":
+            continue
+        counts = np.arange(r.n + 1)
+        lo, hi = _wald(counts / r.n, r.n)
+        exact = stats.binom.pmf(counts, r.n, r.truth)[(lo <= r.truth) & (r.truth <= hi)].sum()
+        size = reps[r.eps, r.n, r.mechanism, r.stat]
+        z[r.eps, r.n, r.stat] = (r.cp - exact) / math.sqrt(exact * (1.0 - exact) / size)
+    assert len(z) == 72
+    worst = max(z, key=lambda key: abs(z[key]))
+    assert abs(z[worst]) <= K, f"{worst}: original-arm coverage {z[worst]:+.2f} SE from the exact value"

@@ -36,6 +36,8 @@ class TestAllocateEqual:
             d.allocate_equal(math.inf, 3)
         with pytest.raises(ValueError):
             d.allocate_equal(1.0, 0)
+        with pytest.raises(ValueError, match="too small to split"):
+            d.allocate_equal(5e-324, 2)
         for flag in (True, np.True_, "0.5"):
             with pytest.raises(ValueError, match="budget must be finite and positive"):
                 d.allocate_equal(flag, 3)
@@ -74,6 +76,8 @@ class TestCompose:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             d.compose([])
+        with pytest.raises(ValueError, match="entries must be LedgerEntry"):
+            d.compose(["x"])
 
 
 class TestBudgetLedger:

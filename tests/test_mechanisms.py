@@ -3,9 +3,10 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
@@ -136,6 +137,45 @@ def study_cells(config):
             for ie in range(len(config.eps)) for n in config.ns]
 
 
+def mp_trunc_cdf(x, s, lam, c0, c1):
+    """The truncated Laplace CDF from the untruncated CDF G, with no expm1
+    and no normalizer: (G(x) - G(c0)) / (G(c1) - G(c0)).
+
+    A difference of G over a gap w cancels about log10(lam / w) digits, so
+    the working precision is 50 digits beyond that loss.
+    """
+    x = max(x, c0)
+    spare = max(math.log10(lam) - math.log10(b - a) for a, b in ((c0, x), (c0, c1)) if b > a)
+    with mpmath.workdps(50 + max(0, math.ceil(spare))):
+        x, s, lam, c0, c1 = (mpmath.mpf(v) for v in (x, s, lam, c0, c1))
+
+        def g(t):
+            return mpmath.exp((t - s) / lam) / 2 if t < s else 1 - mpmath.exp((s - t) / lam) / 2
+
+        return float((g(x) - g(c0)) / (g(c1) - g(c0)))
+
+
+@st.composite
+def cdf_points(draw):
+    """(x, s, lam, c0, c1) with lam from 1e-4 to 1e15 and x at c0, below s,
+    one ulp below s, at s, above s or at c1.
+
+    Below and above s, x lies within 60 scales of s, so the CDF stays a
+    normal float. Positions inside the interval are multiples of 2^-20 of
+    its width: a gap x - c0 under about 1e-308 lam underflows the kernel's
+    mass before the division by Z.
+    """
+    frac = st.integers(0, 2**20).map(lambda k: k / 2**20)
+    lam = 10.0 ** draw(st.floats(-4.0, 15.0))
+    c0 = draw(st.floats(-5.0, 5.0))
+    c1 = c0 + draw(st.floats(1e-3, 10.0))
+    s = min(c0 + (c1 - c0) * draw(frac), c1)
+    offset = min(lam * draw(st.floats(0.0, 60.0)), (c1 - c0) * draw(frac))
+    x = draw(st.sampled_from([c0, max(s - offset, c0), math.nextafter(s, -math.inf), s,
+                              min(s + offset, c1), c1]))
+    return x, s, lam, c0, c1
+
+
 class TestTruncDensity:
     def test_frozen_peak_value(self):
         # 1 / (2 * 0.5 * Z) with Z = 0.56389171798485264
@@ -194,6 +234,24 @@ class TestTruncDensity:
                                      c0, x, points=[s], limit=200)
             assert d.trunc_laplace_cdf(x, s, lam, c0, c1) == pytest.approx(part, abs=1e-10)
 
+    # at lam = 1e-4, (s - c0) / lam = 4000 > 745 underflows exp((c0 - s) / lam)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(point=cdf_points())
+    @example(point=(math.nextafter(0.4, -math.inf), 0.4, 1e-4, 0.0, 1.0))
+    @example(point=(0.4, 0.4, 1e-4, 0.0, 1.0))
+    @example(point=(0.40005, 0.4, 1e-4, 0.0, 1.0))
+    @example(point=(3.0, 3.0, 1e15, -2.0, 3.0))
+    @example(point=(-2.0 + 1e-3, 3.0, 1e15, -2.0, 3.0))
+    def test_cdf_matches_mpmath_at_every_scale(self, point):
+        # a CDF value below the smallest normal float has no relative precision
+        want = mp_trunc_cdf(*point)
+        assert d.trunc_laplace_cdf(*point) == pytest.approx(want, rel=1e-13, abs=2.3e-308), point
+
+    def test_cdf_just_below_s_at_a_tiny_scale(self):
+        # exp((c0 - s) / lam) underflows here; the CDF is not 0 below s
+        assert d.trunc_laplace_cdf(0.3999, 0.4, 5e-4, 0.0, 1.0) == pytest.approx(0.40936537653895450, rel=1e-13)
+        assert d.trunc_laplace_cdf(0.999, 1.0, 1e-3, 0.0, 1.0) == pytest.approx(0.36787944117144200, rel=1e-13)
+
 
 class TestTruncSampler:
     def test_draws_stay_in_bounds_across_scales(self):
@@ -208,9 +266,11 @@ class TestTruncSampler:
         assert abs(draws.mean() - 0.38333179246786655) < 4 * 0.2568094 / 1000.0
 
     def test_ks_against_analytic_cdf(self):
-        draws = d.trunc_laplace_sample(0.2, 0.5, 0.0, 1.0, d.RandomStream(23), size=100_000)
-        res = stats.kstest(draws, lambda x: d.trunc_laplace_cdf(x, 0.2, 0.5, 0.0, 1.0))
-        assert res.pvalue > 0.01
+        # at lam = 1e-4, (s - c0) / lam = 2000 underflows the left tail's exp
+        for lam in (0.5, 1e-4):
+            draws = d.trunc_laplace_sample(0.2, lam, 0.0, 1.0, d.RandomStream(23), size=100_000)
+            res = stats.kstest(draws, lambda x: d.trunc_laplace_cdf(x, 0.2, lam, 0.0, 1.0))
+            assert res.pvalue > 0.01, lam
 
     @pytest.mark.parametrize("lam", [1e8, 1e12, pytest.param(1e15, marks=pytest.mark.xfail(
         strict=True, reason="at lam = 1e15 the inversion leaves 7 distinct values (ROADMAP item 4(a))"))])

@@ -57,6 +57,8 @@ class TestCovMatrix2:
             d.CovMatrix2(1.0, math.inf, 0.0)
         with pytest.raises(ValueError):
             d.CovMatrix2(1.0, 1.0, 1.5)  # breaks Cauchy-Schwarz
+        with pytest.raises(ValueError, match="s12 must be finite"):
+            d.CovMatrix2(1.0, 1.0, math.nan)
 
     def test_tolerates_roundoff_at_the_edge(self):
         r = math.sqrt(1.62 * 1.0)

@@ -53,6 +53,11 @@ class TestCatalog:
             d.gs_catalog("covariance", 100, b)
         with pytest.raises(ValueError):
             d.gs_catalog("variance", 100, b, b)
+        # a plain pair is no AttributeBounds, for the catalog or the output range
+        with pytest.raises(ValueError, match="must be AttributeBounds"):
+            d.gs_catalog("mean", 10, (0.0, 1.0))
+        with pytest.raises(ValueError, match="must be AttributeBounds"):
+            d.variance_output_bounds(10, (0.0, 1.0))
 
     def test_rejects_unknown_kind_and_tiny_n(self):
         with pytest.raises(ValueError):
@@ -102,6 +107,8 @@ class TestCovarianceOutputBounds:
             d.covariance_output_bounds(-1.0, 1.0)
         with pytest.raises(ValueError):
             d.covariance_output_bounds(1.0, -0.5)
+        with pytest.raises(ValueError, match="must be finite"):
+            d.covariance_output_bounds(math.nan, 1.0)
 
     def test_cauchy_schwarz_consistency(self):
         # any valid 2x2 covariance matrix lands inside the stated interval
