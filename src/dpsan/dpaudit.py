@@ -69,7 +69,9 @@ def _statistic_grid(c0: float, c1: float, delta1: float, grid: int) -> np.ndarra
     """
     base = np.linspace(c0, c1, grid)
     shifted = np.clip(np.concatenate([base - delta1, base + delta1]), c0, c1)
-    return np.unique(np.concatenate([base, shifted]))
+    # np.unique's own sort and mask, without its probe that imports numpy.ma
+    svals = np.sort(np.concatenate([base, shifted]))
+    return svals[np.concatenate([[True], svals[1:] != svals[:-1]])]
 
 
 def _last_partners(svals: np.ndarray, thr: float) -> np.ndarray:

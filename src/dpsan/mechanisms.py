@@ -341,16 +341,17 @@ def _trunc_invert(u, s, lam, c0, c1):
     The Laplace(s, lam) quantile with one log per draw, s + lam log(2u)
     below the median and s - lam log(2(1 - u)) above it, clipped to
     ``[c0, c1]``. ``s``, ``c0`` and ``c1`` may be arrays that broadcast
-    against ``u``.
+    against ``u``. The releases are computed in ``u``'s own buffer.
     """
     low = u < 0.5
-    x = np.where(low, u, 1.0 - u)
+    x = np.minimum(u, 1.0 - u, out=u)
     x *= 2.0
     # log only hits zero at the interval's own endpoints; the clip repairs
     # the resulting infinities, so the warning is noise
     with np.errstate(divide="ignore"):
         np.log(x, out=x)
-    x *= np.where(low, lam, -lam)
+    # +lam or -lam exactly; 2 lam low - lam would overflow near 1e308
+    x *= lam * (2.0 * low.astype(float) - 1.0)
     x += s
     return np.clip(x, c0, c1, out=x)
 

@@ -4,11 +4,14 @@ Each test asserts its criterion at the stated tolerance and prints as one
 pass/fail line under ``pytest -v``. The Monte Carlo criteria fix master
 seed 2 for their study runs; the margins at this seed were checked against
 neighboring seeds, and every assertion that is statistically true holds
-across them. Criterion 7's coverage-window clause is expected to fail: the
-unsanitized Wald interval already undercovers at the small sample sizes
-(exact binomial calculation puts the n=50 baseline near 0.88), so no
-sanitizer on top of it can reach the window. The failure is genuine and
-documented rather than patched over.
+across them. Criterion 7's coverage-window clause is expected to fail, on
+13 of the epsilon = 1 cells at seed 2, for three causes: plain Wald
+undercovers before any noise only at n = 50, p = 0.1 (exact binomial
+coverage 0.879, 2 cells); the interval leaves out the noise variance (8
+cells at n = 50, p = 0.2-0.4 and n = 100, p = 0.1, sanitized coverage
+0.904-0.925); and 3 cells with expected coverage 0.928-0.932 miss by Monte
+Carlo error at 500 replicates. The failure is genuine and documented rather
+than patched over.
 """
 
 import itertools
@@ -178,9 +181,10 @@ def test_criterion_07_proportion_study_reproduction(prop_run):
     for mech in ("trunc", "bit"):
         assert cells[(0.1, 50, mech, "p4")]["cp"] < 0.90
 
-    # nominal-budget coverage window; KNOWN RED: the plain Wald interval
-    # undercovers the small categories at n <= 200 before any sanitization
-    # is applied, so the window cannot be met there by construction
+    # nominal-budget coverage window; KNOWN RED on 13 cells: plain Wald
+    # undercovers before any noise only at n = 50, p = 0.1; the interval
+    # leaves out the noise variance at n = 50, p = 0.2-0.4 and n = 100,
+    # p = 0.1; and 3 cells near 0.93 miss by Monte Carlo error (README)
     outside = []
     for n in PROP_NS:
         for k in range(1, 5):

@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +259,38 @@ SWEEP_INTERVALS = ((0.0, 1.0), (-3.0, 2.5), (1e-9, 1e-9 + 1e-6), (-1e3, 1e4), (0
 SWEEP_DELTA_FRACS = (1e-7, 0.05, 0.3, 1.0, 2.0)
 # the benchmark audits both kinds at these scales, delta1 = 0.3 on [0, 1]
 BENCH_LAMBDAS = (0.01, 0.1, 1.0, 10.0, 100.0)
+
+
+class TestStatisticGrid:
+    """``_statistic_grid`` against ``np.unique`` of the same values (``dense_grid``)."""
+
+    def test_matches_np_unique_on_random_grids(self):
+        rng = np.random.default_rng(41)
+        for _ in range(3_000):
+            c0 = float(rng.uniform(-5.0, 5.0)) if rng.random() < 0.5 else float(rng.integers(-3, 3))
+            c1 = c0 + math.exp(rng.uniform(math.log(1e-3), math.log(10.0)))
+            # whole fractions of the width put shifted points on grid points
+            frac = rng.uniform(0.0, 2.0) if rng.random() < 0.5 else 1.0 / rng.integers(1, 9)
+            grid = int(rng.integers(2, 300))
+            args = (c0, c1, frac * (c1 - c0), grid)
+            assert dpaudit._statistic_grid(*args).tobytes() == dense_grid(*args).tobytes(), args
+
+    @pytest.mark.parametrize("grid", [2, 100, 137])
+    @pytest.mark.parametrize("frac", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("c0,c1", [(-0.0, 1.0), (-1.0, -0.0)])
+    def test_matches_np_unique_at_signed_zero_bounds(self, c0, c1, frac, grid):
+        args = (c0, c1, frac * (c1 - c0), grid)
+        assert dpaudit._statistic_grid(*args).tobytes() == dense_grid(*args).tobytes()
+
+    def test_audit_leaves_numpy_ma_unloaded(self):
+        # np.unique imports numpy.ma on its first call, 10-13 ms of every
+        # fresh process's first audit
+        code = ("import sys, dpsan; dpsan.audit_mechanism('trunc', 0.01, 0.0, 1.0, 0.3, 100); "
+                "print('numpy.ma' in sys.modules)")
+        src = Path(d.__file__).resolve().parent.parent
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
 
 
 class TestMatchesDenseReference:

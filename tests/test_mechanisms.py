@@ -12,7 +12,7 @@ from scipy import integrate, special, stats
 
 import dpsan as d
 from conftest import random_tuples, rejection_trunc_sample
-from dpsan.mechanisms import _Draws, _generators, _PCG64Rows
+from dpsan.mechanisms import _Draws, _generators, _PCG64Rows, _trunc_invert
 
 
 class TestRandomStream:
@@ -354,6 +354,30 @@ def test_size_is_the_output_shape(sampler, size):
     assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == shape
     assert out.tobytes() == one_by_one.tobytes()
     assert g.random() == twin.random()
+
+
+def where_trunc_invert(u, s, lam, c0, c1):
+    """The inversion with both selects made by ``np.where``: the oracle for
+    the select-free form in ``_trunc_invert``."""
+    low = u < 0.5
+    x = np.where(low, u, 1.0 - u)
+    x *= 2.0
+    with np.errstate(divide="ignore"):
+        np.log(x, out=x)
+    x *= np.where(low, lam, -lam)
+    x += s
+    return np.clip(x, c0, c1, out=x)
+
+
+class TestTruncInversion:
+    EDGES = [0.0, 0.5, np.nextafter(0.5, -np.inf), np.nextafter(0.5, np.inf), np.nextafter(1.0, 0.0), 1e-300]
+
+    @pytest.mark.parametrize("s,c0,c1", [(0.2, 0.0, 1.0), (-0.0, -0.0, 1.0)])
+    @pytest.mark.parametrize("lam", [1e-300, 1e-3, 1.0, 1e3, 1e15])
+    def test_matches_where_form_bit_for_bit(self, s, lam, c0, c1):
+        u = np.concatenate([np.random.default_rng(37).random(100_000), self.EDGES])
+        expected = where_trunc_invert(u.copy(), s, lam, c0, c1)
+        assert _trunc_invert(u.copy(), s, lam, c0, c1).tobytes() == expected.tobytes()
 
 
 class TestScalarMatchesBatched:
