@@ -24,12 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .mechanisms import _count, _normalizer, _positive
+from .mechanisms import MECHANISMS, _count, _positive
 from .sensitivity import AttributeBounds
 
 __all__ = ["AuditResult", "audit_mechanism"]
 
-_KINDS = ("laplace", "trunc", "bit")
+# Plain Laplace is the one audit-only row: no release uses it, so it has no
+# record, and its loss is audited in closed form.
+_KINDS = ("laplace", *MECHANISMS)
 _DEFAULT_TOL = 1e-9
 # Pairs evaluated per block: the block's buffers stay a few hundred KB.
 _BLOCK_PAIRS = 1 << 15
@@ -201,7 +203,8 @@ def audit_mechanism(kind: str, lam, c0: float, c1: float, delta1: float, grid: i
     """Realized worst-case privacy loss of one mechanism.
 
     Args:
-        kind: ``laplace`` (plain, unbounded), ``trunc``, or ``bit``.
+        kind: ``laplace`` (plain, unbounded, audit-only) or a key of
+            ``MECHANISMS`` (``trunc``, ``bit``).
         lam: the mechanism's noise scale.
         c0, c1: the release interval for the bounded mechanisms; for the
             plain mechanism it only anchors the reported pair.
@@ -214,7 +217,7 @@ def audit_mechanism(kind: str, lam, c0: float, c1: float, delta1: float, grid: i
     the plain mechanism the bound ``delta1 / lam`` is tight and returned in
     closed form.
 
-    Raises ``ValueError`` when the truncated mechanism's normalizer Z
+    Raises ``ValueError`` when a renormalized mechanism's normalizer Z
     underflows to 0 at some grid statistic: the loss there is not a double.
 
     Returns:
@@ -232,22 +235,21 @@ def audit_mechanism(kind: str, lam, c0: float, c1: float, delta1: float, grid: i
     grid = _count(grid, "grid resolution", 100)
     nominal = delta1 / lam
 
-    if kind == "laplace":
+    mech = MECHANISMS.get(kind)
+    if mech is None:
         # the interior ratio saturates at exp(|s - s'| / lam) for any output
         # beyond the pair, so the bound is attained exactly
-        realized = nominal
-        pair = (c0, c0 + delta1)
-        output = c0
+        realized, pair, output = nominal, (c0, c0 + delta1), c0
     else:
         svals = _statistic_grid(c0, c1, delta1, grid)
-        # Only the truncated normalizer Z depends on the statistic. BIT's
-        # interior and boundary-mass ratios all peak at exp(|s - s'| / lam),
-        # so its Z is one and its worst output c0, where the ratio
-        # saturates below both statistics.
-        z = _normalizer(svals - c0, c1 - svals, lam) if kind == "trunc" else np.ones(svals.size)
+        # Only a renormalized density's Z depends on the statistic. Without
+        # one, as for BIT, the interior and boundary-mass ratios all peak at
+        # exp(|s - s'| / lam), so Z is one and the worst output c0, where the
+        # ratio saturates below both statistics.
+        z = np.ones(svals.size) if mech.normalizer is None else mech.normalizer(svals - c0, c1 - svals, lam)
         if not z.all():
             raise ValueError(f"noise scale {lam!r} dwarfs the interval [{c0!r}, {c1!r}]: the "
-                             "truncation normalizer underflows to 0, so the loss is not a double")
+                             "normalizer underflows to 0, so the loss is not a double")
         realized, pair, output, _ = _worst_pair(svals, np.log(z), lam, delta1, c0, c1)
     return AuditResult(
         kind=kind,

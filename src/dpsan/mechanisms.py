@@ -3,8 +3,9 @@
 Truncated and boundary-inflated truncated (BIT) Laplace samplers with the
 truncated density, its normalizer and the BIT boundary masses, plus the
 standard normal quantile the Wald intervals use. Each mechanism has one
-sampler, in ``MECHANISMS``: it releases a batch of statistics, one row per
-release, and release i draws from stream i only as it asks. The streams
+record in ``MECHANISMS``: its normalizer, its closed-form moments and its
+batch sampler, which releases a batch of statistics, one row per release;
+release i draws from stream i only as it asks. The streams
 come from one of two draw sources with the same interface. ``_Draws`` holds
 numpy Generators: the caller's, for the public samplers (the sampler's
 one-row case) and the public pipelines. ``_PCG64Rows`` holds a study cell's
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,12 +146,6 @@ def _positive(value, what: str) -> float:
     return x
 
 
-def _check_extent(k) -> int:
-    if not (_is_index(k) and k < 2**32):
-        raise ValueError(f"grid extents must be integers in [0, 2**32), got {k!r}")
-    return int(k)
-
-
 @dataclass(frozen=True)
 class RandomStream:
     """Deterministic, splittable source of randomness.
@@ -203,7 +199,9 @@ class RandomStream:
         Raises:
             ValueError: if an extent is not an integer in ``[0, 2**32)``.
         """
-        shape = tuple(_check_extent(k) for k in shape)
+        if not all(_is_index(k) and k < 2**32 for k in shape):
+            raise ValueError(f"grid extents must be integers in [0, 2**32), got {shape!r}")
+        shape = tuple(map(int, shape))
         pool, h = _seed_pool(self.seed)
         pool = list(pool)
         h = _mix_in(pool, [w for i in self.ids for w in _int_words(i)], h)
@@ -261,6 +259,64 @@ def _normalizer(d0, d1, lam: float):
     the privacy audit all renormalize by this one expression.
     """
     return -0.5 * (np.expm1(-d0 / lam) + np.expm1(-d1 / lam))
+
+
+def _scaled_expm1_minus_x(d: float, lam: float) -> float:
+    """lam * (expm1(u) - u) at u = d / lam, without cancellation near zero.
+
+    The series is scaled by ``d * u`` rather than ``lam * u * u``: when the
+    scale dwarfs ``d``, ``u * u`` turns subnormal and loses digits.
+    """
+    u = d / lam
+    if abs(u) < 1e-2:
+        return d * u * (0.5 + u * (1.0 / 6.0 + u * (1.0 / 24.0 + u * (1.0 / 120.0 + u / 720.0))))
+    return lam * (math.expm1(u) - u)
+
+
+def _scaled_erlang_cdf2(d: float, lam: float) -> float:
+    """lam^2 (1 - e^-t (1 + t)) at t = d / lam; the series is scaled by d * d,
+    as ``lam * lam`` overflows and ``t * t`` underflows at huge scales."""
+    t = d / lam
+    if t < 1e-2:
+        return d * d * (0.5 + t * (-1.0 / 3.0 + t * (0.125 + t * (-1.0 / 30.0 + t / 144.0))))
+    if t > 745.0:  # e^-t underflows before the polynomial can overflow
+        return lam * lam
+    return lam * lam * (1.0 - math.exp(-t) * (1.0 + t))
+
+
+def _scaled_erlang_cdf3(d: float, lam: float) -> float:
+    """lam^2 (1 - e^-t (1 + t + t^2/2)) at t = d / lam, series scaled by d * d * t."""
+    t = d / lam
+    if t < 1e-2:
+        return d * d * t * (1.0 / 6.0 + t * (-0.125 + t * (0.05 + t * (-1.0 / 72.0 + t / 336.0))))
+    if t > 745.0:
+        return lam * lam
+    return lam * lam * (1.0 - math.exp(-t) * (1.0 + t + 0.5 * t * t))
+
+
+def _trunc_bias_core(d0: float, d1: float, lam: float) -> float:
+    """Mean shift of the truncated release, assuming d0 <= d1."""
+    e0 = math.exp(-d0 / lam)
+    if e0 == 0.0:
+        return 0.0  # both tails below the double floor; the shift is too
+    u = (d0 - d1) / lam  # <= 0, so expm1 cannot overflow
+    num = -0.5 * e0 * (_scaled_expm1_minus_x(d0 - d1, lam) + d1 * math.expm1(u))
+    return num / float(_normalizer(d0, d1, lam))
+
+
+def _bit_bias_core(d0: float, d1: float, lam: float) -> float:
+    """Mean shift of the BIT release, assuming d0 <= d1."""
+    e0 = math.exp(-d0 / lam)
+    if e0 == 0.0:
+        return 0.0
+    u = (d0 - d1) / lam
+    return -0.5 * lam * e0 * math.expm1(u)
+
+
+def _reflected(core):
+    """``core``, a mean shift written for d0 <= d1, at any gap widths:
+    swapping the two widths reflects the release and flips the shift's sign."""
+    return lambda d0, d1, lam: core(d0, d1, lam) if d0 <= d1 else -core(d1, d0, lam)
 
 
 def trunc_laplace_pdf(x, s: float, lam, c0: float, c1: float):
@@ -354,13 +410,6 @@ def _trunc_invert(u, s, lam, c0, c1):
     x *= lam * (2.0 * low.astype(float) - 1.0)
     x += s
     return np.clip(x, c0, c1, out=x)
-
-
-def _bit_clamp(e, s, c0, c1):
-    """BIT releases from an array of Laplace(0, lam) noise ``e``: s + e
-    clamped to [c0, c1], computed in place in ``e``."""
-    e += s
-    return np.clip(e, c0, c1, out=e)
 
 
 class _Draws:
@@ -474,21 +523,33 @@ def _sample_trunc(draws, rows, s, lam, c0, c1, k):
 
 def _sample_bit(draws, rows, s, lam, c0, c1, k):
     lam = _check_support(s, lam, c0, c1)
-    return _bit_clamp(draws.laplace(rows, lam, k), s, c0, c1)
+    e = draws.laplace(rows, lam, k)
+    e += s
+    return np.clip(e, c0, c1, out=e)
 
 
-# Each mechanism releases a batch: row i of ``s`` holds the statistics of
-# release ``rows[i]``, which takes its next ``k`` draws from ``draws``. ``s``
-# and the bounds broadcast against the (rows, k) draws; keep ``s`` narrow,
-# since the truncated sampler takes its tail masses per distinct element.
-MECHANISMS = {"trunc": _sample_trunc, "bit": _sample_bit}
+# Each mechanism's record: ``sample(draws, rows, s, lam, c0, c1, k)`` releases
+# a batch, row i of ``s`` the statistics of release ``rows[i]``, which takes
+# its next ``k`` draws from ``draws`` (``s`` and the bounds broadcast against
+# the (rows, k) draws; keep ``s`` narrow, as the truncated sampler takes its
+# tail masses per distinct element); ``normalizer(d0, d1, lam)``, the Z its
+# density is renormalized by, or None; and ``bias`` and ``second``, E[x - s]
+# and E[(x - s)^2] at gap widths d0 = s - c0 and d1 = c1 - s.
+_Mechanism = namedtuple("_Mechanism", "sample normalizer bias second")
+MECHANISMS = {
+    "trunc": _Mechanism(_sample_trunc, _normalizer, _reflected(_trunc_bias_core),
+                        lambda d0, d1, lam: (_scaled_erlang_cdf3(d0, lam) + _scaled_erlang_cdf3(d1, lam))
+                        / float(_normalizer(d0, d1, lam))),
+    "bit": _Mechanism(_sample_bit, None, _reflected(_bit_bias_core),
+                      lambda d0, d1, lam: _scaled_erlang_cdf2(d0, lam) + _scaled_erlang_cdf2(d1, lam)),
+}
 
 
-def _sampler(mechanism: str):
+def _mechanism(name: str) -> _Mechanism:
     try:
-        return MECHANISMS[mechanism]
+        return MECHANISMS[name]
     except KeyError:
-        raise ValueError(f"mechanism must be one of {sorted(MECHANISMS)}, got {mechanism!r}") from None
+        raise ValueError(f"mechanism must be one of {sorted(MECHANISMS)}, got {name!r}") from None
 
 
 def _one_row(sample, s, lam, c0, c1, rng, size):

@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from .accountant import BudgetLedger, allocate_equal
-from .mechanisms import _as_generator, _count, _Draws, _is_index, _positive, _sampler, standard_normal_quantile
+from .mechanisms import _as_generator, _count, _Draws, _is_index, _mechanism, _positive, standard_normal_quantile
 from .sensitivity import (
     AttributeBounds,
     covariance_output_bounds,
@@ -137,7 +137,7 @@ def _covariance_releases(S, n, bounds, epsilon, mechanism, draws, ledger=None):
     if not isinstance(S, CovMatrix2):
         raise ValueError(f"S must be a CovMatrix2, got {type(S).__name__}")
     b1, b2 = bounds
-    sample = _sampler(mechanism)
+    sample = _mechanism(mechanism).sample
     shares = allocate_equal(epsilon, 3)
     rows = draws.rows
 
@@ -212,14 +212,13 @@ def _proportions_of(counts) -> tuple[np.ndarray, int]:
     return np.array([[c / n for c in counts]]), n
 
 
-def _renormalized(phat, n: int, epsilon: float, mechanism: str, draws, rows):
-    """Sanitize each row of proportions on [0, 1] and renormalize it.
+def _renormalized(phat, n: int, epsilon: float, sample, draws, rows):
+    """Sanitize each row of proportions on [0, 1] by ``sample`` and renormalize it.
 
     Row i is release ``rows[i]`` of ``draws``, at sensitivity 1/n under
     budget ``epsilon``. A row whose four draws all come back zero is drawn
     once more; a row that comes back all zero again is NaN.
     """
-    sample = _sampler(mechanism)
     lam = (1.0 / n) / epsilon
     p = np.full(phat.shape, math.nan)
     todo = np.arange(len(phat))
@@ -251,11 +250,11 @@ def sanitize_proportions(counts, epsilon: float, mechanism: str, rng, ledger: Bu
     """
     phat, n = _proportions_of(counts)
     epsilon = _positive(epsilon, "privacy budget")
-    _sampler(mechanism)  # an unknown name fails before any spend or draw
+    sample = _mechanism(mechanism).sample  # an unknown name fails before any spend or draw
     draws = _Draws([_as_generator(rng)])
     if ledger is not None:
         ledger.spend("proportions", epsilon)
-    p = _renormalized(phat, n, epsilon, mechanism, draws, draws.rows)
+    p = _renormalized(phat, n, epsilon, sample, draws, draws.rows)
     if math.isnan(p[0, 0]):
         raise _degenerate(n, epsilon, mechanism)
     return ProportionVector(tuple(p[0].tolist()))
@@ -291,7 +290,7 @@ def wald_ci(p: float, n: int) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _synthesize(phat, n: int, shares, mechanism: str, draws):
+def _synthesize(phat, n: int, shares, sample, draws):
     """Release each row of ``phat`` once per share: an array (rows, m, 4).
 
     A row stops at its first degenerate release: that set and every later
@@ -302,7 +301,7 @@ def _synthesize(phat, n: int, shares, mechanism: str, draws):
     for i, share in enumerate(shares):
         if not live.size:
             break
-        sets[live, i] = _renormalized(phat[live], n, share, mechanism, draws, draws.rows[live])
+        sets[live, i] = _renormalized(phat[live], n, share, sample, draws, draws.rows[live])
         live = live[np.isfinite(sets[live, i, 0])]
     return sets
 
@@ -336,10 +335,10 @@ def multiple_synthesis(counts, epsilon: float, m: int, mechanism: str, rng, ledg
     draws = _Draws([_as_generator(rng)])
     shares = allocate_equal(epsilon, m)
     phat, n = _proportions_of(counts)
-    _sampler(mechanism)
+    sample = _mechanism(mechanism).sample
     if ledger is not None:
         ledger.spend("synthesis", epsilon)
-    sets = _synthesize(phat, n, shares, mechanism, draws)
+    sets = _synthesize(phat, n, shares, sample, draws)
     failed = np.isnan(sets[0, :, 0])
     if failed.any():
         raise _degenerate(n, shares[int(failed.argmax())], mechanism)
@@ -368,6 +367,6 @@ def _synthesis_cell(phat, n, epsilon, m, mechanism, draws):
     i of ``draws`` each) and their 95% interval bounds; a degenerate
     bundle's row is NaN. At m = 1 these are the single release and its Wald
     interval."""
-    sets = _synthesize(phat, n, allocate_equal(epsilon, m), mechanism, draws)
+    sets = _synthesize(phat, n, allocate_equal(epsilon, m), _mechanism(mechanism).sample, draws)
     pbar, _, interval = _combine(sets, n)
     return (pbar, *interval)

@@ -73,7 +73,7 @@ class SimConfig:
     specs: tuple[int, ...] = (1, 2, 3)
     ns: tuple[int, ...] = ()
     eps: tuple[float, ...] = ()
-    mechanisms: tuple[str, ...] = ("trunc", "bit")
+    mechanisms: tuple[str, ...] = tuple(MECHANISMS)
     reps: int = 500
     m: int = 5
     seed: int = 0

@@ -59,7 +59,7 @@ def test_benchmark_tracer_leaves_release_kernels_unwrapped():
     # draw through the wrapper's per-call hooks
     t = load_tracer().Tracer().install(dpsan)
     try:
-        assert not any(hasattr(f, "__wrapped__") for f in dpsan.mechanisms.MECHANISMS.values())
+        assert not any(hasattr(rec.sample, "__wrapped__") for rec in dpsan.mechanisms.MECHANISMS.values())
         dpsan.sanitize_proportions((10, 20, 30, 40), 1.0, "trunc", dpsan.RandomStream(1))
         calls = t.self_times()
     finally:

@@ -6,7 +6,7 @@ import math
 import pytest
 
 import dpsan as d
-from dpsan import dpaudit, simlab
+from dpsan import simlab
 from dpsan.cli import _build_parser, load_config_file, main
 from dpsan.mechanisms import MECHANISMS
 
@@ -313,7 +313,9 @@ class TestLibraryLists:
         assert _options(_subparser("sim"))["study"].choices == tuple(simlab._STUDIES)
 
     def test_audit_kinds_are_the_library_kinds(self):
-        assert _options(_subparser("audit"))["mech"].choices == dpaudit._KINDS
+        # plain Laplace is the one audit-only row; every other choice is a
+        # mechanism record
+        assert _options(_subparser("audit"))["mech"].choices == ("laplace", *MECHANISMS)
 
     def test_sim_mech_help_names_every_mechanism(self):
         help_text = _options(_subparser("sim"))["mech"].help

@@ -1,7 +1,9 @@
 """Mechanism tests: streams, densities, samplers, and the normal quantile."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -519,3 +521,31 @@ class TestNormalQuantile:
         for p in (-0.1, 1.1, math.nan):
             with pytest.raises(ValueError):
                 d.standard_normal_quantile(p)
+
+
+class TestRecordTable:
+    """Each mechanism is defined once, by its record in ``MECHANISMS``."""
+
+    def test_no_module_branches_on_a_mechanism_name(self):
+        # a comparison against a mechanism's name outside mechanisms.py is a
+        # second definition of what that mechanism does
+        names = set(d.mechanisms.MECHANISMS)
+        src = Path(d.mechanisms.__file__).parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "mechanisms.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Compare):
+                    for operand in (node.left, *node.comparators):
+                        for leaf in ast.walk(operand):
+                            if isinstance(leaf, ast.Constant) and leaf.value in names:
+                                found.append(f"{path.name}:{node.lineno} {leaf.value!r}")
+        assert not found
+
+    def test_public_samplers_release_through_the_records(self):
+        for name, sampler in (("trunc", d.trunc_laplace_sample), ("bit", d.bit_laplace_sample)):
+            rec = d.mechanisms.MECHANISMS[name]
+            draws = _Draws([d.RandomStream(3).generator()])
+            batch = rec.sample(draws, draws.rows, np.full((1, 1), 0.2), 0.5, 0.0, 1.0, 50)
+            assert np.array_equal(batch[0], sampler(0.2, 0.5, 0.0, 1.0, d.RandomStream(3), size=50))

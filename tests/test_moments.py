@@ -1,5 +1,7 @@
 """Closed-form moment checks against numerical quadrature and each other."""
 
+import dataclasses
+import hashlib
 import math
 
 import mpmath
@@ -239,3 +241,18 @@ class TestMonteCarloAgreement:
             assert abs(draws.mean() - m1) < 4 * se1
             se2 = np.std(draws ** 2) / math.sqrt(n)
             assert abs(np.mean(draws ** 2) - m2) < 4 * se2
+
+
+# the benchmark's moments sweep on [0, 1]: lam by decades from 1e-300 to 1e300
+SWEEP_LAMBDAS = tuple(float(f"1e{k}") for k in range(-300, 301))
+SWEEP_S = (0.0, 0.2, 0.5, 0.9, 1.0)
+
+
+def test_every_report_field_is_pinned_over_the_benchmark_sweep():
+    # the benchmark's digest hashes only the two means; this pins all seven
+    # MomentReport fields at each of the 3,005 sweep points, bit for bit
+    digest = hashlib.sha256()
+    for lam in SWEEP_LAMBDAS:
+        for s in SWEEP_S:
+            digest.update(repr(dataclasses.astuple(d.bias_order_check(s, lam, 0.0, 1.0))).encode())
+    assert digest.hexdigest() == "7dbd1385591832783488ba35ca6108c8e2e62f639dc31aecc3edf88286739ef4"
