@@ -77,22 +77,6 @@ def compose(entries) -> float:
     return math.fsum(e.epsilon for e in entries)
 
 
-def _add_exact(partials: list[float], x: float) -> list[float]:
-    """Shewchuk's partials of ``sum(partials) + x``: nonoverlapping floats
-    in increasing magnitude whose exact sum is the exact total."""
-    out = []
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            out.append(lo)
-        x = hi
-    out.append(x)
-    return out
-
-
 class BudgetLedger:
     """Running record of spends against a fixed total budget.
 
@@ -100,22 +84,18 @@ class BudgetLedger:
     with :class:`BudgetExceededError` carrying the remaining budget; the
     ledger is left unchanged.
 
-    The ledger keeps the exact sum of its spends as Shewchuk partials (a
-    few floats at any length) and decides each spend by their
-    ``math.fsum`` with the new one: the correctly rounded sum of every
-    spend, as :func:`compose` takes it. So a spend costs the same at any
-    ledger length, and ``spent()`` equals ``compose(entries())`` bit for bit.
+    Each spend is decided by :func:`compose` over the recorded entries and
+    the new one, so ``spent()`` equals ``compose(entries())`` bit for bit.
     """
 
     def __init__(self, total: float):
         self.total = _positive(total, "total budget")
         self._entries: list[LedgerEntry] = []
-        self._partials: list[float] = []
         self._spent = 0.0
 
     def spend(self, label: str, epsilon: float) -> LedgerEntry:
         entry = LedgerEntry(label, epsilon)
-        would_spend = math.fsum(self._partials + [entry.epsilon])
+        would_spend = compose(self._entries + [entry])
         if would_spend > self.total:
             remaining = self.remaining()
             raise BudgetExceededError(
@@ -123,7 +103,6 @@ class BudgetLedger:
                 remaining,
             )
         self._entries.append(entry)
-        self._partials = _add_exact(self._partials, entry.epsilon)
         self._spent = would_spend
         return entry
 

@@ -239,7 +239,9 @@ def audit_mechanism(kind: str, lam, c0: float, c1: float, delta1: float, grid: i
     if mech is None:
         # the interior ratio saturates at exp(|s - s'| / lam) for any output
         # beyond the pair, so the bound is attained exactly
-        realized, pair, output = nominal, (c0, c0 + delta1), c0
+        realized = nominal
+        pair = (c0, c0 + delta1)
+        output = c0
     else:
         svals = _statistic_grid(c0, c1, delta1, grid)
         # Only a renormalized density's Z depends on the statistic. Without

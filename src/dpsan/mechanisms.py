@@ -199,8 +199,8 @@ class RandomStream:
         Raises:
             ValueError: if an extent is not an integer in ``[0, 2**32)``.
         """
-        if not all(_is_index(k) and k < 2**32 for k in shape):
-            raise ValueError(f"grid extents must be integers in [0, 2**32), got {shape!r}")
+        if bad := [k for k in shape if not (_is_index(k) and k < 2**32)]:
+            raise ValueError(f"grid extents must be integers in [0, 2**32), got {bad[0]!r}")
         shape = tuple(map(int, shape))
         pool, h = _seed_pool(self.seed)
         pool = list(pool)
@@ -311,6 +311,11 @@ def _bit_bias_core(d0: float, d1: float, lam: float) -> float:
         return 0.0
     u = (d0 - d1) / lam
     return -0.5 * lam * e0 * math.expm1(u)
+
+
+def _trunc_second_core(d0: float, d1: float, lam: float) -> float:
+    """Centred second moment E[(x - s)^2] of the truncated release."""
+    return (_scaled_erlang_cdf3(d0, lam) + _scaled_erlang_cdf3(d1, lam)) / float(_normalizer(d0, d1, lam))
 
 
 def _reflected(core):
@@ -537,9 +542,7 @@ def _sample_bit(draws, rows, s, lam, c0, c1, k):
 # and E[(x - s)^2] at gap widths d0 = s - c0 and d1 = c1 - s.
 _Mechanism = namedtuple("_Mechanism", "sample normalizer bias second")
 MECHANISMS = {
-    "trunc": _Mechanism(_sample_trunc, _normalizer, _reflected(_trunc_bias_core),
-                        lambda d0, d1, lam: (_scaled_erlang_cdf3(d0, lam) + _scaled_erlang_cdf3(d1, lam))
-                        / float(_normalizer(d0, d1, lam))),
+    "trunc": _Mechanism(_sample_trunc, _normalizer, _reflected(_trunc_bias_core), _trunc_second_core),
     "bit": _Mechanism(_sample_bit, None, _reflected(_bit_bias_core),
                       lambda d0, d1, lam: _scaled_erlang_cdf2(d0, lam) + _scaled_erlang_cdf2(d1, lam)),
 }

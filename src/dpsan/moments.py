@@ -42,13 +42,13 @@ def _moments(name: str, s: float, d0: float, d1: float, lam: float) -> tuple[flo
 def trunc_mean(s: float, lam, c0: float, c1: float) -> float:
     """Mean of the truncated Laplace release centered at ``s``."""
     s, d0, d1, lam = _checked(s, lam, c0, c1)
-    return s + _moments("trunc", s, d0, d1, lam)[0]
+    return s + MECHANISMS["trunc"].bias(d0, d1, lam)
 
 
 def bit_mean(s: float, lam, c0: float, c1: float) -> float:
     """Mean of the BIT Laplace release centered at ``s``."""
     s, d0, d1, lam = _checked(s, lam, c0, c1)
-    return s + _moments("bit", s, d0, d1, lam)[0]
+    return s + MECHANISMS["bit"].bias(d0, d1, lam)
 
 
 def trunc_second_moment(s: float, lam, c0: float, c1: float) -> float:

@@ -1,7 +1,6 @@
 """Budget arithmetic: allocation, composition, and the spend ledger."""
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -146,29 +145,3 @@ class TestIncrementalLedger:
                 assert led.spent() == d.compose(led.entries())
             else:
                 assert led.spent() == 0.0
-
-    @settings(max_examples=300, deadline=None, database=None)
-    @given(total=st.one_of(st.sampled_from([1e300, 1.0, 1e-200]), st.floats(min_value=1e-300, max_value=1e300)),
-           spends=st.lists(st.floats(min_value=1e-300, max_value=1e300), max_size=40))
-    def test_spent_is_compose_bit_for_bit_at_mixed_magnitudes(self, total, spends):
-        # the ledger sums its spends through running exact partials; after
-        # every spend, refused ones included, that sum must be compose's
-        led = d.BudgetLedger(total)
-        for eps in spends:
-            partials = list(led._partials)
-            try:
-                led.spend("s", eps)
-            except d.BudgetExceededError:
-                assert led._partials == partials
-            want = d.compose(led.entries()) if led.entries() else 0.0
-            assert led.spent().hex() == want.hex()
-
-    def test_spend_cost_does_not_grow_with_the_ledger(self):
-        # composing every entry afresh on each spend took 0.48 s for 4,000
-        # spends; the running partials make 20,000 cheap
-        led = d.BudgetLedger(1.0)
-        t0 = time.perf_counter()
-        for _ in range(20_000):
-            led.spend("s", 1e-6)
-        assert time.perf_counter() - t0 < 2.0
-        assert led.spent() == d.compose(led.entries())
