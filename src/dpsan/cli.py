@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 
@@ -125,10 +126,8 @@ def _print_csv(header, row) -> None:
 def _cmd_moments(args) -> int:
     report = bias_order_check(args.s, args.lam, args.c0, args.c1)
     _print_csv(
-        ("s", "lambda", "c0", "c1", "trunc_mean", "bit_mean", "trunc_second_moment", "bit_second_moment",
-         "trunc_bias", "bit_bias", "tails_underflowed"),
-        (args.s, args.lam, args.c0, args.c1, report.trunc_mean, report.bit_mean, report.trunc_second_moment,
-         report.bit_second_moment, report.trunc_bias, report.bit_bias, int(report.tails_underflowed)),
+        ("s", "lambda", "c0", "c1", *(f.name for f in dataclasses.fields(report))),
+        (args.s, args.lam, args.c0, args.c1, *(int(v) if isinstance(v, bool) else v for v in dataclasses.astuple(report))),
     )
     return 0
 

@@ -73,8 +73,7 @@ def _mix_in(pool: list, words, h: int) -> int:
     return h
 
 
-@functools.lru_cache(maxsize=8)
-def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+def _seed_pool(seed: int) -> tuple[list[int], int]:
     """The pool and hash constant once ``seed`` is mixed in.
 
     The seed's words, zero-padded to the pool size, fill the pool (numpy
@@ -92,7 +91,7 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
             if src != dst:
                 v, h = _hashmix(pool[src], h)
                 pool[dst] = _mix(pool[dst], v)
-    return tuple(pool), h
+    return pool, h
 
 
 def _state_rows(pool: list) -> np.ndarray:
@@ -203,7 +202,6 @@ class RandomStream:
             raise ValueError(f"grid extents must be integers in [0, 2**32), got {bad[0]!r}")
         shape = tuple(map(int, shape))
         pool, h = _seed_pool(self.seed)
-        pool = list(pool)
         h = _mix_in(pool, [w for i in self.ids for w in _int_words(i)], h)
         if shape:
             idx = np.unravel_index(np.arange(math.prod(shape)), shape)
@@ -221,9 +219,7 @@ def _generators(words) -> list[np.random.Generator]:
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, RandomStream):
         return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    # duck-typed stand-ins are accepted when they have the two draw methods
+    # a numpy Generator, or a duck-typed stand-in with the two draw methods
     # the samplers call; tests use one to script the draws a pipeline sees
     if all(hasattr(rng, m) for m in ("random", "laplace")):
         return rng
@@ -387,8 +383,8 @@ def _tails(d, lam: float) -> np.ndarray:
 
     A study cell's releases share few locations (at most n + 1 category
     proportions), so the exponentials cost little next to the draws. A lone
-    element (a public sampler's one release) skips the unique, whose cost
-    would dwarf its one exponential.
+    element (a public sampler's one release) skips the unique, whose cost,
+    and its first import of numpy.ma (8-16 ms), would dwarf one exponential.
     """
     if d.size == 1:
         return np.full(d.shape, _tail(d.item(), lam))
@@ -557,9 +553,12 @@ def _mechanism(name: str) -> _Mechanism:
 
 def _one_row(sample, s, lam, c0, c1, rng, size):
     """``size`` draws of one release of ``s`` from ``rng`` (a float when
-    ``size`` is None), through the batch sampler ``sample``."""
+    ``size`` is None), through the batch sampler ``sample``. Each extent of
+    ``size`` is checked as a count before the first draw."""
+    if size is not None:
+        size = tuple(_count(k, "size extent", 0) for k in (size if np.ndim(size) else (size,)))
     draws = _Draws([_as_generator(rng)])
-    k = 1 if size is None else int(np.prod(size))
+    k = 1 if size is None else math.prod(size)
     x = sample(draws, draws.rows, np.full((1, 1), float(s)), lam, c0, c1, k)
     return float(x[0, 0]) if size is None else x.reshape(size)
 
@@ -610,8 +609,8 @@ def standard_normal_quantile(p: float) -> float:
     if p == 1.0:
         return math.inf
     # imported here: `statistics` pulls in `fractions` and `decimal` (about
-    # 6 ms and 0.5 MB), which every `import dpsan` would pay, while
-    # `pipelines._two_sided_z` calls this only once
+    # 6 ms and 0.5 MB), which every `import dpsan` would pay, while only the
+    # intervals of `pipelines` call this
     from statistics import NormalDist
 
     return NormalDist().inv_cdf(p)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -45,12 +44,6 @@ __all__ = [
 class RenormalizationDegenerateError(RuntimeError):
     """All sanitized category draws were zero twice in a row, so the
     proportion vector cannot be renormalized."""
-
-
-def _degenerate(n: int, epsilon: float, mechanism: str) -> RenormalizationDegenerateError:
-    return RenormalizationDegenerateError(
-        f"all four sanitized proportions were zero twice in a row (n={n}, epsilon={epsilon}, mechanism={mechanism!r})"
-    )
 
 
 def _check_covariance(s11, s22, s12) -> None:
@@ -212,26 +205,54 @@ def _proportions_of(counts) -> tuple[np.ndarray, int]:
     return np.array([[c / n for c in counts]]), n
 
 
-def _renormalized(phat, n: int, epsilon: float, sample, draws, rows):
-    """Sanitize each row of proportions on [0, 1] by ``sample`` and renormalize it.
-
-    Row i is release ``rows[i]`` of ``draws``, at sensitivity 1/n under
-    budget ``epsilon``. A row whose four draws all come back zero is drawn
-    once more; a row that comes back all zero again is NaN.
-    """
-    lam = (1.0 / n) / epsilon
-    p = np.full(phat.shape, math.nan)
-    todo = np.arange(len(phat))
-    for _attempt in range(2):
-        q = sample(draws, rows[todo], phat[todo], lam, 0.0, 1.0, 4)
-        total = np.array([math.fsum(r) for r in q.tolist()])
-        done = total > 0.0
-        p[todo[done]] = q[done] / total[done, None]
-        todo = todo[~done]
-        if not todo.size:
+def _synthesize(phat, n: int, shares, sample, draws):
+    """Release each row i of ``phat`` (release ``draws.rows[i]``) once per
+    share, sanitized on [0, 1] at sensitivity 1/n and renormalized: an array
+    (rows, m, 4). A set whose four draws are all zero is drawn once more; a
+    row whose set is all zero again stays NaN from there on and draws no more."""
+    sets = np.full((len(phat), len(shares), 4), math.nan)
+    live = np.arange(len(phat))
+    for i, share in enumerate(shares):
+        if not live.size:
             break
-    _check_proportions(p[np.isfinite(p[:, 0])])
-    return p
+        lam = (1.0 / n) / share
+        todo = live
+        for _attempt in range(2):
+            q = sample(draws, draws.rows[todo], phat[todo], lam, 0.0, 1.0, 4)
+            total = np.array([math.fsum(r) for r in q.tolist()])
+            done = total > 0.0
+            sets[todo[done], i] = q[done] / total[done, None]
+            todo = todo[~done]
+            if not todo.size:
+                break
+        live = live[np.isfinite(sets[live, i, 0])]
+        _check_proportions(sets[live, i])
+    return sets
+
+
+def _proportion_sets(counts, epsilon, m, mechanism, rng, ledger, label: str):
+    """The m sets of one synthesis of ``counts`` from ``rng``, as an array
+    (1, m, 4), and n: the one path of both public proportion releases.
+
+    The inputs are checked in order (counts, budget, m, mechanism, then the
+    generator), ``ledger`` records ``(label, epsilon)`` before the first
+    draw, and a degenerate set is refused.
+    """
+    phat, n = _proportions_of(counts)
+    epsilon = _positive(epsilon, "privacy budget")
+    shares = allocate_equal(epsilon, _count(m, "release count"))
+    sample = _mechanism(mechanism).sample
+    draws = _Draws([_as_generator(rng)])
+    if ledger is not None:
+        ledger.spend(label, epsilon)
+    sets = _synthesize(phat, n, shares, sample, draws)
+    failed = np.isnan(sets[0, :, 0])
+    if failed.any():
+        share = shares[int(failed.argmax())]
+        raise RenormalizationDegenerateError(
+            f"all four sanitized proportions were zero twice in a row (n={n}, epsilon={share}, mechanism={mechanism!r})"
+        )
+    return sets, n
 
 
 def sanitize_proportions(counts, epsilon: float, mechanism: str, rng, ledger: BudgetLedger | None = None) -> ProportionVector:
@@ -243,32 +264,19 @@ def sanitize_proportions(counts, epsilon: float, mechanism: str, rng, ledger: Bu
     renormalized to sum to one. If every draw comes back zero the release
     is resampled once; a second all-zero outcome raises
     :class:`RenormalizationDegenerateError`. The release takes four draws
-    from ``rng``, or eight when it is resampled.
+    from ``rng``, or eight when it is resampled. It is the one set of an
+    m = 1 :func:`multiple_synthesis`.
 
     ``ledger``, if given, records ``("proportions", epsilon)`` after the
     input checks and before the first draw, or refuses the release.
     """
-    phat, n = _proportions_of(counts)
-    epsilon = _positive(epsilon, "privacy budget")
-    sample = _mechanism(mechanism).sample  # an unknown name fails before any spend or draw
-    draws = _Draws([_as_generator(rng)])
-    if ledger is not None:
-        ledger.spend("proportions", epsilon)
-    p = _renormalized(phat, n, epsilon, sample, draws, draws.rows)
-    if math.isnan(p[0, 0]):
-        raise _degenerate(n, epsilon, mechanism)
-    return ProportionVector(tuple(p[0].tolist()))
-
-
-@cache
-def _two_sided_z() -> float:
-    """Normal quantile at 0.975, the z of a two-sided 95% interval."""
-    return standard_normal_quantile(0.975)
+    sets, _ = _proportion_sets(counts, epsilon, 1, mechanism, rng, ledger, "proportions")
+    return ProportionVector(tuple(sets[0, 0].tolist()))
 
 
 def _normal_interval(center, variance):
     """95% interval: ``center`` plus or minus z sqrt(``variance``), clipped to [0, 1]."""
-    half = _two_sided_z() * np.sqrt(variance)
+    half = standard_normal_quantile(0.975) * np.sqrt(variance)
     return np.maximum(0.0, center - half), np.minimum(1.0, center + half)
 
 
@@ -288,22 +296,6 @@ def wald_ci(p: float, n: int) -> tuple[float, float]:
         raise ValueError(f"proportion must lie in [0, 1], got {p}")
     lo, hi = _wald(p, _count(n, "sample size"))
     return float(lo), float(hi)
-
-
-def _synthesize(phat, n: int, shares, sample, draws):
-    """Release each row of ``phat`` once per share: an array (rows, m, 4).
-
-    A row stops at its first degenerate release: that set and every later
-    one stay NaN and take no draws.
-    """
-    sets = np.full((len(phat), len(shares), 4), math.nan)
-    live = np.arange(len(phat))
-    for i, share in enumerate(shares):
-        if not live.size:
-            break
-        sets[live, i] = _renormalized(phat[live], n, share, sample, draws, draws.rows[live])
-        live = live[np.isfinite(sets[live, i, 0])]
-    return sets
 
 
 def _combine(sets, n: int):
@@ -331,20 +323,10 @@ def multiple_synthesis(counts, epsilon: float, m: int, mechanism: str, rng, ledg
     ``ledger``, if given, records ``("synthesis", epsilon)`` after the
     input checks and before the first draw, or refuses the release.
     """
-    m = _count(m, "release count")
-    draws = _Draws([_as_generator(rng)])
-    shares = allocate_equal(epsilon, m)
-    phat, n = _proportions_of(counts)
-    sample = _mechanism(mechanism).sample
-    if ledger is not None:
-        ledger.spend("synthesis", epsilon)
-    sets = _synthesize(phat, n, shares, sample, draws)
-    failed = np.isnan(sets[0, :, 0])
-    if failed.any():
-        raise _degenerate(n, shares[int(failed.argmax())], mechanism)
+    sets, n = _proportion_sets(counts, epsilon, m, mechanism, rng, ledger, "synthesis")
     pbar, variance, (lo, hi) = _combine(sets, n)
     return SynthesisBundle(
-        m=m,
+        m=sets.shape[1],
         estimates=tuple(ProportionVector(tuple(r)) for r in sets[0].tolist()),
         estimate=tuple(pbar[0].tolist()),
         variance=tuple(variance[0].tolist()),

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,9 +88,31 @@ def test_benchmark_tracer_counts_study_rows(tmp_path):
 
 def test_import_leaves_numpy_random_unloaded():
     # numpy 2 loads numpy.random lazily, at a cost of 11-17 ms; only drawing
-    # from a stream needs it, not importing dpsan or its CLI
-    code = "import sys, dpsan, dpsan.cli; print('numpy.random' in sys.modules)"
+    # from a stream needs it, not importing dpsan or its CLI. `statistics`
+    # (about 6 ms) loads with the first normal quantile, and numpy.ma (8-16
+    # ms, through np.unique) not even with a public sampler's sized draw,
+    # which skips the unique in `_tails`
+    code = (
+        "import sys, dpsan, dpsan.cli\n"
+        "print('numpy.random' in sys.modules, 'statistics' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        "dpsan.trunc_laplace_sample(0.2, 0.5, 0.0, 1.0, dpsan.RandomStream(1), size=10)\n"
+        "print('numpy.ma' in sys.modules)"
+    )
     src = Path(dpsan.__file__).resolve().parent.parent
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False"] * 4
+
+
+def test_readme_names_only_defined_private_names():
+    # every backticked private name in README.md (`_tails`, `pipelines._wald`,
+    # `RandomStream._words(*shape)`) is defined somewhere in the project
+    root = Path(__file__).resolve().parent.parent
+    named = set()
+    for span in re.findall(r"`([^`\n]+)`", (root / "README.md").read_text()):
+        if m := re.match(r"(?:\w+\.)*(_\w+)", span):
+            named.add(m.group(1))
+    sources = "\n".join(f.read_text() for d in ("src/dpsan", "tests", "perfbench") for f in (root / d).glob("*.py"))
+    defined = set(re.findall(r"^\s*(?:def|class)\s+(\w+)|^\s*([A-Za-z_]\w*)\s*[:=]", sources, re.M))
+    defined = {a or b for a, b in defined}
+    assert named and not named - defined, sorted(named - defined)

@@ -358,6 +358,17 @@ def test_size_is_the_output_shape(sampler, size):
     assert g.random() == twin.random()
 
 
+@pytest.mark.parametrize("sampler", [d.trunc_laplace_sample, d.bit_laplace_sample])
+@pytest.mark.parametrize("size", [2.5, True, (2, 1.5), [3.0]], ids=repr)
+def test_bad_size_is_refused_before_any_draw(sampler, size):
+    # each extent is a count; a refused size leaves the caller's generator
+    # where it was
+    g = d.RandomStream(37).generator()
+    with pytest.raises(ValueError, match="size extent must be an integer"):
+        sampler(0.2, 0.5, 0.0, 1.0, g, size=size)
+    assert g.random() == d.RandomStream(37).generator().random()
+
+
 def where_trunc_invert(u, s, lam, c0, c1):
     """The inversion with both selects made by ``np.where``: the oracle for
     the select-free form in ``_trunc_invert``."""

@@ -341,6 +341,42 @@ class TestMultipleSynthesis:
                 d.multiple_synthesis(counts, 1.0, 2, "trunc", d.RandomStream(27))
 
 
+class TestOneProportionPath:
+    """Both proportion releases run one entry, so they refuse a bad input
+    with the same error, checking counts, budget, m, mechanism and then the
+    generator, before any spend or draw."""
+
+    COUNTS = (10, 20, 30, 40)
+
+    @pytest.mark.parametrize("counts, epsilon, mechanism, rng, error", [
+        ((1, 2, 3), 0.5, "trunc", 5, "exactly four category counts"),
+        ((1, 2, 3), 0.0, "nope", 5, "exactly four category counts"),
+        (COUNTS, 0.0, "nope", 5, "privacy budget must be finite and positive"),
+        (COUNTS, True, "trunc", "g", "privacy budget must be finite and positive"),
+        (COUNTS, 0.5, "nope", 5, "mechanism must be one of"),
+        (COUNTS, 0.5, "trunc", 5, "rng must be a RandomStream"),
+    ])
+    def test_same_refusal_from_both(self, counts, epsilon, mechanism, rng, error):
+        led = d.BudgetLedger(1.0)
+        refusals = []
+        for release in (lambda g: d.sanitize_proportions(counts, epsilon, mechanism, g, ledger=led),
+                        lambda g: d.multiple_synthesis(counts, epsilon, 1, mechanism, g, ledger=led)):
+            g = np.random.default_rng(3) if rng == "g" else rng
+            with pytest.raises((ValueError, TypeError), match=error) as info:
+                release(g)
+            refusals.append((type(info.value), str(info.value)))
+            if rng == "g":
+                assert g.bit_generator.state == np.random.default_rng(3).bit_generator.state
+        assert refusals[0] == refusals[1]
+        assert led.entries() == ()
+
+    def test_release_count_checked_after_budget_before_mechanism(self):
+        with pytest.raises(ValueError, match="privacy budget"):
+            d.multiple_synthesis(self.COUNTS, 0.0, 0, "nope", 5)
+        with pytest.raises(ValueError, match="release count"):
+            d.multiple_synthesis(self.COUNTS, 0.5, 0, "nope", 5)
+
+
 @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0])
 class TestBudgetCheckedWithoutLedger:
     """Without a ledger, a budget no ledger could hold is still refused."""
