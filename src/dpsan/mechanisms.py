@@ -378,17 +378,25 @@ def _tail(d: float, lam: float) -> float:
     return 0.5 * math.exp(d / lam) if d < 0.0 else 0.5
 
 
-def _tails(d, lam: float) -> np.ndarray:
-    """:func:`_tail` of each element of ``d``, computed once per distinct value.
+def _distinct(a) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(a, return_inverse=True) from one sort, without np.unique's first
+    import of numpy.ma (8-16 ms); both zeros are one value, each NaN its own."""
+    order = np.argsort(a, axis=None)
+    ordered = np.ravel(a)[order]
+    first = np.concatenate([[True], ordered[1:] != ordered[:-1]])
+    where = np.empty(order.size, dtype=np.intp)
+    where[order] = np.cumsum(first) - 1
+    return ordered[first], where
 
-    A study cell's releases share few locations (at most n + 1 category
-    proportions), so the exponentials cost little next to the draws. A lone
-    element (a public sampler's one release) skips the unique, whose cost,
-    and its first import of numpy.ma (8-16 ms), would dwarf one exponential.
-    """
+
+def _tails(d, lam: float) -> np.ndarray:
+    """:func:`_tail` of each element of ``d``, computed once per distinct value
+    (a study cell's releases share at most n + 1 locations); a lone element,
+    a public sampler's one release, skips the sort. ``_tail`` is 0.5 at both
+    zeros and at NaN, however :func:`_distinct` groups them."""
     if d.size == 1:
         return np.full(d.shape, _tail(d.item(), lam))
-    values, where = np.unique(d, return_inverse=True)
+    values, where = _distinct(d)
     return np.array([_tail(v, lam) for v in values.tolist()])[where].reshape(np.shape(d))
 
 

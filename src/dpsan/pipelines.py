@@ -92,7 +92,8 @@ def _check_proportions(p) -> None:
         raise ValueError(f"exactly four proportions required, got {p.shape[-1]}")
     if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError(f"proportions must lie in [0, 1], got {p.tolist()}")
-    for row in p.tolist():
+    # near one, a float sum of four values in [0, 1] is within 4e-16 of the exact sum
+    for row in p[np.abs(p.sum(axis=-1) - 1.0) > 1e-12 - 1e-14].tolist():
         if abs(math.fsum(row) - 1.0) > 1e-12:
             raise ValueError(f"proportions must sum to 1, got {math.fsum(row)!r}")
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mechanisms import MECHANISMS, RandomStream, _count, _generators, _is_index, _PCG64Rows, _positive
+from .mechanisms import MECHANISMS, RandomStream, _count, _distinct, _generators, _is_index, _PCG64Rows, _positive
 from .pipelines import CovMatrix2, _covariance_cell, _synthesis_cell, _wald
 from .sensitivity import AttributeBounds
 
@@ -131,8 +131,7 @@ class SimReport:
         cells = self.replicates._cells
         with open(rep_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(_REP_FIELDS[:9] if cells[0].cp is None else _REP_FIELDS) + "\n")
-            for cell in cells:
-                fh.writelines(_cell_lines(cell))
+            fh.writelines(map(_cell_text, cells))
         with open(sum_path, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows([self.summary[0]._fields, *self.summary])
         return rep_path, sum_path
@@ -146,19 +145,24 @@ class SimReport:
 _Cell = namedtuple("_Cell", "heads stats tails original sanitized cp", defaults=(None,))
 
 
-def _cell_lines(cell) -> list[str]:
+def _cell_text(cell) -> str:
     """The cell's replicate CSV lines, spelled as csv.writer spells its rows
-    (labels hold no comma, quote or newline; floats go by repr). Each field
-    is spelled once at its own shape, and the lines are the broadcast sums."""
-    heads = np.array([",".join(map(str, head)) + "," for head in cell.heads], dtype=object)[:, None]
-    reps = np.array([f"{rep}," for rep in range(len(cell.sanitized))], dtype=object)[:, None, None]
-    stats = np.array([f"{stat}," for stat in cell.stats], dtype=object)
-    original, sanitized = (np.array(list(map(repr, a.ravel().tolist())), dtype=object).reshape(a.shape)
-                           for a in (cell.original, cell.sanitized))
-    tails = "\n" if cell.cp is None else np.array(
+    (labels hold no comma, quote or newline; floats go by repr), from one
+    object array of their fields: arm prefix, rep, stat, original, sanitized
+    and tail."""
+    reps, arms, stats = cell.sanitized.shape
+    fields = np.empty((reps, arms, stats, 6), dtype=object)
+    fields[..., 0] = np.array([",".join(map(str, head)) + "," for head in cell.heads], dtype=object)[:, None]
+    fields[..., 1] = np.array([f"{rep}," for rep in range(reps)], dtype=object)[:, None, None]
+    fields[..., 2] = np.array([f"{stat}," for stat in cell.stats], dtype=object)
+    # p-hat = k/n takes at most n + 1 values; no original is -0.0 to group with 0.0
+    values, where = _distinct(cell.original)
+    fields[..., 3] = np.array([f"{v!r}," for v in values.tolist()], dtype=object)[where].reshape(cell.original.shape)
+    fields[..., 4] = np.array(list(map(repr, cell.sanitized.ravel().tolist())), dtype=object).reshape(reps, arms, stats)
+    fields[..., 5] = "\n" if cell.cp is None else np.array(
         [[f",{cat},{truth!r},{cp}\n" for cp in (0, 1, math.nan)] for cat, truth in cell.tails],
         dtype=object)[range(4), np.where(np.isnan(cell.cp), 2, cell.cp).astype(int)]
-    return (heads + reps + (stats + original + ",") + sanitized + tails).ravel().tolist()
+    return "".join(fields.ravel().tolist())
 
 
 class _Rows:
@@ -174,7 +178,25 @@ class _Rows:
 
     def __eq__(self, other):
         # equal exactly when write_csv writes the same replicate lines
-        return isinstance(other, _Rows) and [*map(_cell_lines, self._cells)] == [*map(_cell_lines, other._cells)]
+        return isinstance(other, _Rows) and [*map(_cell_text, self._cells)] == [*map(_cell_text, other._cells)]
+
+
+def _quantile_table(est) -> np.ndarray:
+    """np.quantile(col[~np.isnan(col)], (0.025, 0.25, 0.75, 0.975)) of each
+    column along the first axis of ``est``, on a last axis; NaN if all NaN.
+    One sort. Bit for bit unless a column mixes 0.0 and -0.0, which the sort
+    may order either way. No study estimate is -0.0: releases are clips of
+    (0.0 +/- lam log u) + s or x (+/- lam) + s, s >= +0.0, or such over a
+    positive total."""
+    ordered = np.sort(est, axis=0)  # NaN sorts last
+    n = np.count_nonzero(~np.isnan(est), axis=0)
+    at = np.multiply.outer((0.025, 0.25, 0.75, 0.975), n - 1)
+    below = np.floor(at)
+    a = np.take_along_axis(ordered, below.astype(np.intp), axis=0)
+    # every quantile is below 1, so only the next index passes n - 1 (at n = 1)
+    b = np.take_along_axis(ordered, np.minimum(below + 1, n - 1).astype(np.intp), axis=0)
+    g = at - below
+    return np.moveaxis(np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g), 0, -1)  # numpy's _lerp
 
 
 def summarize(rows) -> list[CovSummary | PropSummary]:
@@ -184,19 +206,19 @@ def summarize(rows) -> list[CovSummary | PropSummary]:
     their cell's moments, quantiles and coverage."""
     out = []
     for cell in rows._cells:
+        quantiles = _quantile_table(cell.sanitized).tolist()
         for a, head in enumerate(cell.heads):
             for k, (stat, tail) in enumerate(zip(cell.stats, cell.tails)):
                 est, orig = (np.ascontiguousarray(np.broadcast_to(c, cell.sanitized.shape)[:, a, k])
                              for c in (cell.sanitized, cell.original))
                 target = float(tail[1]) if tail else float(orig.mean())
                 defined = est[~np.isnan(est)]
+                q025, q25, q75, q975 = quantiles[a][k]  # NaN where no estimate is defined
+                mean = bias = rmse = math.nan
                 if defined.size:
                     mean = float(defined.mean())
-                    q025, q25, q75, q975 = (float(q) for q in np.quantile(defined, (0.025, 0.25, 0.75, 0.975)))
                     bias = mean - target
                     rmse = float(np.sqrt(np.mean((defined - target) ** 2)))
-                else:
-                    mean = q025 = q25 = q75 = q975 = bias = rmse = math.nan
                 fields = (*head, stat, float(orig.mean()), mean, q025, q25, q75, q975, bias, rmse)
                 if cell.cp is None:
                     out.append(CovSummary(*fields))
