@@ -192,7 +192,7 @@ def _quantile_table(est) -> np.ndarray:
     n = np.count_nonzero(~np.isnan(est), axis=0)
     at = np.multiply.outer((0.025, 0.25, 0.75, 0.975), n - 1)
     below = np.floor(at)
-    a = np.take_along_axis(ordered, below.astype(np.intp), axis=0)
+    a = np.take_along_axis(ordered, below.astype(np.intp), axis=0)  # index -1, a NaN, where n = 0
     # every quantile is below 1, so only the next index passes n - 1 (at n = 1)
     b = np.take_along_axis(ordered, np.minimum(below + 1, n - 1).astype(np.intp), axis=0)
     g = at - below

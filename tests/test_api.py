@@ -86,22 +86,29 @@ def test_benchmark_tracer_counts_study_rows(tmp_path):
     assert t.counts["write_csv.rows"] == rep_rows + sum_rows
 
 
-def test_import_leaves_numpy_random_unloaded():
+def test_import_leaves_numpy_random_unloaded(tmp_path):
     # numpy 2 loads numpy.random lazily, at a cost of 11-17 ms; only drawing
     # from a stream needs it, not importing dpsan or its CLI. `statistics`
     # (about 6 ms) loads with the first normal quantile, and numpy.ma (8-16
-    # ms, through np.unique) not even with a public sampler's sized draw,
-    # which skips the unique in `_tails`
+    # ms, through np.unique or np.quantile) neither with a public sampler's
+    # sized draw nor with a whole study: summaries, CSVs and `_tails` sort
     code = (
-        "import sys, dpsan, dpsan.cli\n"
+        "import contextlib, sys, dpsan, dpsan.cli\n"
         "print('numpy.random' in sys.modules, 'statistics' in sys.modules, 'numpy.ma' in sys.modules)\n"
         "dpsan.trunc_laplace_sample(0.2, 0.5, 0.0, 1.0, dpsan.RandomStream(1), size=10)\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "with contextlib.redirect_stdout(None):\n"
+        f"    dpsan.cli.main(['sim', 'prop', '--n', '10,40', '--eps', '1', '--reps', '5', '--out', {str(tmp_path)!r}])\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "with contextlib.redirect_stdout(None):\n"
+        f"    dpsan.cli.main(['sim', 'cov', '--spec', '1', '--n', '20', '--reps', '5', '--out', {str(tmp_path)!r}])\n"
         "print('numpy.ma' in sys.modules)"
     )
     src = Path(dpsan.__file__).resolve().parent.parent
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.split() == ["False"] * 4
+    assert out.stdout.split() == ["False"] * 6
+    assert {p.name for p in tmp_path.iterdir()} == {f"{s}_{k}.csv" for s in ("prop", "cov") for k in ("replicates", "summary")}
 
 
 def test_readme_names_only_defined_private_names():

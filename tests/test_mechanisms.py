@@ -14,7 +14,7 @@ from scipy import integrate, special, stats
 
 import dpsan as d
 from conftest import random_tuples, rejection_trunc_sample
-from dpsan.mechanisms import _Draws, _generators, _PCG64Rows, _trunc_invert
+from dpsan.mechanisms import _distinct, _Draws, _generators, _PCG64Rows, _tail, _tails, _trunc_invert
 
 
 class TestRandomStream:
@@ -391,6 +391,23 @@ class TestTruncInversion:
         u = np.concatenate([np.random.default_rng(37).random(100_000), self.EDGES])
         expected = where_trunc_invert(u.copy(), s, lam, c0, c1)
         assert _trunc_invert(u.copy(), s, lam, c0, c1).tobytes() == expected.tobytes()
+
+
+class TestTails:
+    """``_tails`` and its ``_distinct`` against the ``np.unique`` form they replace."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(d=st.lists(st.sampled_from([0.0, -0.0, -5e-324, -1e-300, -0.25, -1.0, 0.5]) | st.floats(-800.0, 1.0),
+                      min_size=2, max_size=80),
+           lam=st.sampled_from([1e-300, 1e-3, 0.3, 1.0, 1e15]), width=st.sampled_from([1, 2, 4]))
+    def test_matches_np_unique_form(self, d, lam, width):
+        # gaps c0 - s as a study cell holds them, (rows, width), zeros of both signs among them
+        d = np.array(d[:len(d) // width * width] or d[:1] * width).reshape(-1, width)
+        values, where = np.unique(d, return_inverse=True)
+        expected = np.array([_tail(v, lam) for v in values.tolist()])[where].reshape(d.shape)
+        assert _tails(d, lam).tobytes() == expected.tobytes()
+        got_values, got_where = _distinct(d)
+        assert np.array_equal(got_values, values) and np.array_equal(got_where, where.ravel())
 
 
 class TestScalarMatchesBatched:

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import dpsan as d
 from dpsan.mechanisms import _PCG64Rows
-from dpsan.pipelines import _covariance_cell, _synthesis_cell, _wald
+from dpsan.pipelines import _check_proportions, _covariance_cell, _synthesis_cell, _wald
 from dpsan.simlab import PROP_TRUTH
 
 B3 = d.AttributeBounds(-3.0, 3.0)
@@ -77,6 +79,23 @@ class TestProportionVector:
             d.ProportionVector((0.5, 0.5, 0.5, -0.5))
         with pytest.raises(ValueError):
             d.ProportionVector((0.1, 0.2, 0.3, 0.5))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(abc=st.lists(st.floats(0.01, 0.33), min_size=3, max_size=3),
+           delta=st.sampled_from([-1e-12, 1e-12, -(1e-12 - 1e-14), 1e-12 - 1e-14]),
+           ulps=st.integers(-40, 40))
+    def test_sum_check_refuses_as_a_per_row_fsum(self, abc, delta, ulps):
+        # rows (a, b, c, 1 - a - b - c + delta) around both ends of the 1e-12
+        # tolerance and of the float-sum shortcut, against the fsum rule alone
+        row = [*abc, 1.0 - sum(abc) + delta + ulps * 2.0**-52]
+        refused = abs(math.fsum(row) - 1.0) > 1e-12
+        for rows in (np.array([row]), np.array([[0.25] * 4, row, [0.1, 0.2, 0.3, 0.4]])):
+            try:
+                _check_proportions(rows)
+            except ValueError as exc:
+                assert refused and "sum to 1" in str(exc)
+            else:
+                assert not refused
 
 
 class TestSanitizeCovariance:

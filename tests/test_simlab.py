@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpsan as d
 from dpsan import simlab
@@ -343,19 +345,22 @@ def summarize_rows(rows) -> list:
     return out
 
 
+COLUMN_CONFIGS = [
+    # bit releases at n = 20 leave some correlations undefined (NaN)
+    ("cov", dict(specs=(1, 2), ns=(20, 50), mechanisms=("trunc", "bit"), reps=30, seed=5)),
+    ("prop", dict(ns=(10, 40), eps=(1.0, 0.5), mechanisms=("trunc", "bit"), reps=20, seed=1)),
+    ("prop-ms", dict(ns=(30, 60), eps=(0.5,), mechanisms=("trunc", "bit"), m=3, reps=10, seed=4)),
+    # the config of RETRY_ARGV: degenerate bundles give NaN estimates and NaN cp
+    ("prop-ms", dict(ns=(50,), eps=(0.01,), mechanisms=("bit",), m=10, reps=100, seed=2)),
+]
+
+
 class TestColumnsMatchRows:
     """A report holds its replicates as columns. Its CSV text and summary
     must be what the reference row tuples of replicate_rows give through
     csv.writer and summarize_rows."""
 
-    @pytest.mark.parametrize("study,kw", [
-        # bit releases at n = 20 leave some correlations undefined (NaN)
-        ("cov", dict(specs=(1, 2), ns=(20, 50), mechanisms=("trunc", "bit"), reps=30, seed=5)),
-        ("prop", dict(ns=(10, 40), eps=(1.0, 0.5), mechanisms=("trunc", "bit"), reps=20, seed=1)),
-        ("prop-ms", dict(ns=(30, 60), eps=(0.5,), mechanisms=("trunc", "bit"), m=3, reps=10, seed=4)),
-        # the config of RETRY_ARGV: degenerate bundles give NaN estimates and NaN cp
-        ("prop-ms", dict(ns=(50,), eps=(0.01,), mechanisms=("bit",), m=10, reps=100, seed=2)),
-    ])
+    @pytest.mark.parametrize("study,kw", COLUMN_CONFIGS)
     def test_writer_and_summary_match_the_row_path(self, tmp_path, study, kw):
         report = d.run_study(d.SimConfig(study, **kw))
         rep_path, _ = report.write_csv(tmp_path)
@@ -370,6 +375,41 @@ class TestColumnsMatchRows:
         by_rows = summarize_rows(rows)
         assert len(by_rows) == len(report.summary)
         assert all(same_fields(a, b) for a, b in zip(by_rows, report.summary))
+
+
+@pytest.mark.parametrize("study,kw", COLUMN_CONFIGS)
+def test_cells_hold_no_negative_zero(study, kw):
+    # the condition under which the summary's quantile table is np.quantile's
+    # bit for bit, and spelling each distinct original once is repr's: any
+    # zero, such as a bit release clipped to 0, is +0.0
+    report = d.run_study(d.SimConfig(study, **kw))
+    for cell in report.replicates._cells:
+        for a in (cell.sanitized, np.asarray(cell.original)):
+            assert not np.signbit(a[a == 0.0]).any()
+
+
+class TestQuantileTable:
+    """``_quantile_table`` against ``np.quantile`` of each column's defined
+    values (the summarize_rows reference), bit for bit."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(reps=st.integers(1, 600), seed=st.integers(0, 2**32 - 1), ties=st.sampled_from([0, 2, 7, 60]),
+           nan_frac=st.sampled_from([0.0, 0.05, 0.5, 0.95]))
+    def test_matches_np_quantile(self, reps, seed, ties, nan_frac):
+        rng = np.random.default_rng(seed)
+        # a cell's (reps, arms, 4) estimates; with ties, drawn from few values
+        est = rng.normal(size=(reps, 2, 4)) if not ties else rng.integers(-ties, ties + 1, (reps, 2, 4)) / ties
+        est[rng.random(est.shape) < nan_frac] = math.nan
+        est[:, 1, rng.integers(4)] = math.nan
+        est[est == 0.0] = 0.0  # no -0.0, as in the studies
+        table = simlab._quantile_table(est)
+        assert table.shape == (2, 4, 4)
+        for a, k in np.ndindex(2, 4):
+            defined = est[:, a, k][~np.isnan(est[:, a, k])]
+            if defined.size:
+                assert table[a, k].tobytes() == np.quantile(defined, (0.025, 0.25, 0.75, 0.975)).tobytes()
+            else:
+                assert np.isnan(table[a, k]).all()
 
 
 class TestCsvOutput:
