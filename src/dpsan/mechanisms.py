@@ -8,9 +8,12 @@ batch sampler, which releases a batch of statistics, one row per release;
 release i draws from stream i only as it asks. The streams
 come from one of two draw sources with the same interface. ``_Draws`` holds
 numpy Generators: the caller's, for the public samplers (the sampler's
-one-row case) and the public pipelines. ``_PCG64Rows`` holds a study cell's
+one-row case) and the public pipelines. ``_PCG64Rows`` holds a study's
 streams as PCG64 state arrays and steps them together, yielding what their
-Generators would, bit for bit. All randomness flows through
+Generators would, bit for bit: uniforms and Laplace draws for a cell's
+releases, and ``Generator.multinomial`` counts for the proportion studies'
+data. The studies draw from it alone, so a study run never builds a
+Generator nor loads ``numpy.random``. All randomness flows through
 :class:`RandomStream` (or a ``numpy`` Generator derived from one), so every
 draw sequence is reproducible and independent streams can be consumed in
 any order without affecting each other.
@@ -454,6 +457,61 @@ class _Draws:
         return e[0][None] if len(e) == 1 else np.reshape(e, (rows.size, k))
 
 
+def _log(x) -> np.ndarray:
+    """The log of each element of the positive array ``x`` by math.log, the
+    libm log numpy's C samplers call; np.log's vector loops can differ from
+    it in the last bit."""
+    return np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _stirling(f):
+    """The Stirling series term BTPE's step 52 adds for each of f1, z, x1 and w."""
+    f2 = f * f
+    return (13680. - (462. - (132. - (99. - 140. / f2) / f2) / f2) / f2) / f / 166320.
+
+
+def _btpe_ratio(a, s, m, y):
+    """BTPE's step 50 F, f(y) / f(m) for the mode m: 1 times (a / i - s) for
+    each i from m + 1 up to y in turn, or 1 divided by it for each i from
+    y + 1 up to m. The terms go in blocks of eight, each accumulated in
+    order onto F so far; 1s pad a row's last block and leave its F as it is."""
+    k = np.abs(y - m)
+    up = m < y
+    first = np.minimum(m, y) + 1
+    f = np.ones(m.size)
+    block = np.arange(8)
+    for b in range(0, k.max(initial=0), 8):
+        on = np.flatnonzero(k > b)
+        terms = np.empty((on.size, 9))
+        terms[:, 0] = f[on]
+        np.subtract(a[on, None] / (first[on, None] + (b + block)), s, out=terms[:, 1:])
+        terms[:, 1:][k[on, None] <= b + block] = 1.0
+        f[on] = np.where(up[on], np.multiply.accumulate(terms, axis=1)[:, -1],
+                         np.divide.accumulate(terms, axis=1)[:, -1])
+    return f
+
+
+def _btpe_squeeze(v, k, y, m, n, xm, nrq, r, q):
+    """BTPE's step 52 for candidates y at distance k from the mode m: whether
+    each is accepted, by the squeeze on log v and between its bounds by
+    Stirling's bound on log f(y) / f(m)."""
+    rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.1666666666666) / nrq + 0.5)
+    t = -k * k / (2 * nrq)
+    # C's log is -inf at v = 0 (and NaN below 0, which fails every test
+    # that follows): accepted either way
+    log_v = np.full(v.size, -math.inf)
+    log_v[v > 0.0] = _log(v[v > 0.0])
+    accept = log_v < t - rho
+    on = np.flatnonzero(~accept & ~(log_v > t + rho))
+    y, m, n, xm = y[on], m[on], n[on], xm[on]
+    x1, f1, z, w = ((y + 1).astype(float), (m + 1).astype(float), (n + 1 - m).astype(float),
+                    (n - y + 1).astype(float))
+    bound = (xm * _log(f1 / x1) + (n - m + 0.5) * _log(z / w) + (y - m) * _log(w * r / (x1 * q))
+             + _stirling(f1) + _stirling(z) + _stirling(x1) + _stirling(w))
+    accept[on] = ~(log_v[on] > bound)
+    return accept
+
+
 # numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG stepped as
 # state * multiplier + inc, each step's XSL-RR output the next uint64.
 # 128-bit numbers are held as (high, low) uint64 words, and the multiplier
@@ -468,9 +526,9 @@ class _PCG64Rows(_Draws):
 
     Row i is the PCG64 that numpy seeds from row i of ``words`` (four
     uint64, as :meth:`RandomStream._words` gives them), and yields what a
-    Generator over it yields: ``random()`` for ``uniform`` and
-    ``laplace(0, lam)`` for ``laplace``, bit for bit, with the same end
-    state. A study cell's releases step all their streams with a few array
+    Generator over it yields: ``random()`` for ``uniform``,
+    ``laplace(0, lam)`` for ``laplace`` and ``multinomial(n, pvals)`` for
+    ``multinomial``, bit for bit, with the same end state. A study cell's releases step all their streams with a few array
     operations per draw, where a Generator per stream costs a Python call.
     """
 
@@ -520,8 +578,144 @@ class _PCG64Rows(_Draws):
                 zero = zero[u[zero, j] == 0.0]
         high = u >= 0.5
         x = np.where(high, 2.0 - u - u, u + u)
-        e = lam * np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
+        e = lam * _log(x)
         return np.where(high, 0.0 - e, 0.0 + e)
+
+    def multinomial(self, rows, n, pvals):
+        """numpy's ``Generator.multinomial(n, pvals)`` for each row of ``rows``
+        (``n`` a count or one per row): the counts, (rows, len(pvals)) int64,
+        and the end states, bit for bit.
+
+        numpy's random_multinomial: category j is a binomial draw of the
+        records left at p_j / (1 - p_0 - ... - p_{j-1}), summed in that
+        order, and a row draws no more once no record is left; the last
+        category takes the rest.
+        """
+        left = np.array(np.broadcast_to(n, rows.shape), dtype=np.int64)
+        out = np.zeros((rows.size, len(pvals)), dtype=np.int64)
+        remaining = 1.0
+        for j, pj in enumerate(pvals[:-1]):
+            live = np.flatnonzero(left > 0)
+            if not live.size:
+                break
+            out[live, j] = self._binomial(rows[live], left[live], pj / remaining)
+            left -= out[:, j]
+            remaining -= pj
+        out[:, -1] = left
+        return out
+
+    def _binomial(self, rows, n, p):
+        """numpy's random_binomial of each row at its ``n`` >= 1 and the shared
+        ``p``: no draw at p = 0; above 1/2 the count of the other outcome, at
+        1 - p; inversion where n p <= 30, else BTPE."""
+        x = np.zeros(rows.size, dtype=np.int64)
+        if p == 0.0:
+            return x
+        flip = p > 0.5
+        if flip:
+            p = 1.0 - p
+        small = p * n <= 30.0
+        for part, draw in ((small, self._inversion), (~small, self._btpe)):
+            if part.any():
+                x[part] = draw(rows[part], n[part], p)
+        return n - x if flip else x
+
+    def _inversion(self, rows, n, p):
+        """numpy's random_binomial_inversion: walk the probabilities up from
+        P(0) = q^n until the uniform falls below one, with a fresh uniform
+        whenever the count passes its bound."""
+        q = 1.0 - p
+        log_q = math.log(q)
+        values, where = _distinct(n)
+        qn = np.array([math.exp(k * log_q) for k in values.tolist()])[where]
+        np_ = n * p
+        # C truncates the bound to an integer; comparing an integer count
+        # with the floor is comparing it with the bound itself
+        bound = np.floor(np.minimum(n, np_ + 10.0 * np.sqrt(np_ * q + 1)))
+        out = np.zeros(rows.size, dtype=np.int64)
+        # the rows still walking, compacted as they stop: their index, count,
+        # what is left of their uniform and the probability of their count
+        at, x, u, px = np.arange(rows.size), out.copy(), self._next(rows), qn.copy()
+        while True:
+            walk = u > px
+            if not walk.all():
+                out[at[~walk]] = x[~walk]
+                at, x, u, px, n, qn, bound = (v[walk] for v in (at, x, u, px, n, qn, bound))
+                if not at.size:
+                    return out
+            x += 1
+            u -= px
+            px = ((n - x + 1) * p * px) / (x * q)
+            over = np.flatnonzero(x > bound)
+            if over.size:  # past the bound: from 0 again, with a fresh uniform
+                x[over], px[over] = 0, qn[over]
+                u[over] = self._next(rows[at[over]])
+
+    def _btpe(self, rows, n, p):
+        """numpy's random_binomial_btpe at p <= 1/2 (Kachitvichyanukul and
+        Schmeiser, CACM 31(2), 1988), its steps numbered as there. Each round
+        draws u, scaled by p4, then v for every row not yet accepted."""
+        q = 1.0 - p
+        # the set-up, once per distinct n; row r's is at where[r]
+        n, where = _distinct(n)
+        fm = n * p + p
+        m = np.floor(fm).astype(np.int64)
+        p1 = np.floor(2.195 * np.sqrt(n * p * q) - 4.6 * q) + 0.5
+        xm = m + 0.5
+        xl, xr = xm - p1, xm + p1
+        c = 0.134 + 20.5 / (15.3 + m)
+        a = (fm - xl) / (fm - xl * p)
+        laml = a * (1.0 + a / 2.0)
+        a = (xr - fm) / (xr * q)
+        lamr = a * (1.0 + a / 2.0)
+        p2 = p1 * (1.0 + 2.0 * c)
+        p3 = p2 + c / laml
+        p4 = p3 + c / lamr
+        s = p / q
+        nrq, a = n * p * q, s * (n + 1)
+        out = np.empty(rows.size, dtype=np.int64)
+        live = np.arange(rows.size)
+        while live.size:
+            at = where[live]
+            # step 10: u in the triangle is accepted at once
+            u = self._next(rows[live]) * p4[at]
+            v = self._next(rows[live])
+            p1_at = p1[at]
+            y = np.floor(xm[at] - p1_at * v + u)
+            accept = u <= p1_at
+            # step 20: the parallelograms
+            mid = np.flatnonzero(~accept & (u <= p2[at]))
+            j = at[mid]
+            x = xl[j] + (u[mid] - p1[j]) / c[j]
+            v[mid] = v[mid] * c[j] + 1.0 - np.abs(m[j] - x + 0.5) / p1[j]
+            y[mid] = np.floor(x)
+            test = np.zeros(live.size, dtype=bool)
+            test[mid] = v[mid] <= 1.0
+            # steps 30 and 40: the left and right exponential tails; v = 0
+            # is rejected before its log is taken
+            tail = np.flatnonzero((u > p2[at]) & (v > 0.0))
+            j = at[tail]
+            left = u[tail] <= p3[j]
+            log_v = _log(v[tail])
+            y[tail] = np.floor(np.where(left, xl[j] + log_v / laml[j], xr[j] - log_v / lamr[j]))
+            v[tail] = np.where(left, v[tail] * (u[tail] - p2[j]) * laml[j], v[tail] * (u[tail] - p3[j]) * lamr[j])
+            test[tail] = np.where(left, y[tail] >= 0.0, y[tail] <= n[j])
+            # step 50: k = |y - m|; near the mode, or beyond the squeeze's
+            # range, v is tested against f(y) / f(m) itself
+            test = np.flatnonzero(test)
+            j = at[test]
+            yt = y[test].astype(np.int64)
+            k = np.abs(yt - m[j])
+            squeeze = (k > 20) & (k < nrq[j] / 2.0 - 1)
+            exact = ~squeeze
+            accept[test[exact]] = v[test[exact]] <= _btpe_ratio(a[j[exact]], s, m[j[exact]], yt[exact])
+            # step 52: the squeeze, then Stirling's bound on log f(y) / f(m)
+            j = j[squeeze]
+            accept[test[squeeze]] = _btpe_squeeze(v[test[squeeze]], k[squeeze], yt[squeeze], m[j], n[j], xm[j],
+                                                  nrq[j], p, q)
+            out[live[accept]] = y[accept].astype(np.int64)
+            live = live[~accept]
+        return out
 
 
 def _sample_trunc(draws, rows, s, lam, c0, c1, k):

@@ -206,6 +206,35 @@ def _proportions_of(counts) -> tuple[np.ndarray, int]:
     return np.array([[c / n for c in counts]]), n
 
 
+def _two_sum(a, b):
+    """a + b rounded, and its rounding error, exactly (Knuth's TwoSum)."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
+
+
+def _row_fsums(q) -> np.ndarray:
+    """``math.fsum`` of each row of ``q`` (at least two columns), bit for bit,
+    in whole-column passes.
+
+    A TwoSum cascade leaves s, the float sum of the row, and the exact
+    errors of its roundings; a second cascade sums the errors to t. Where
+    that second cascade rounds nothing, s + t is the exact sum, and its one
+    rounding gives the correctly rounded sum, which is fsum's. Any other row
+    goes to fsum itself.
+    """
+    s, t = _two_sum(q[:, 0], q[:, 1])
+    exact = np.ones(len(q), dtype=bool)
+    for column in q.T[2:]:
+        s, e = _two_sum(s, column)
+        t, f = _two_sum(t, e)
+        exact &= f == 0.0
+    total = s + t
+    for i in np.flatnonzero(~exact).tolist():
+        total[i] = math.fsum(q[i].tolist())
+    return total
+
+
 def _synthesize(phat, n: int, shares, sample, draws):
     """Release each row i of ``phat`` (release ``draws.rows[i]``) once per
     share, sanitized on [0, 1] at sensitivity 1/n and renormalized: an array
@@ -220,7 +249,7 @@ def _synthesize(phat, n: int, shares, sample, draws):
         todo = live
         for _attempt in range(2):
             q = sample(draws, draws.rows[todo], phat[todo], lam, 0.0, 1.0, 4)
-            total = np.array([math.fsum(r) for r in q.tolist()])
+            total = _row_fsums(q)
             done = total > 0.0
             sets[todo[done], i] = q[done] / total[done, None]
             todo = todo[~done]

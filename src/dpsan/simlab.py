@@ -5,9 +5,10 @@ grid of sample sizes; studies ``prop`` and ``prop-ms`` redraw multinomial
 data each replicate and sanitize the category proportions, the latter
 through multiple synthesis. Every replicate draws from its own derived
 random stream, so cells are independent, individually re-runnable, and the
-whole run is reproducible byte for byte from the master seed. A cell's
-noise streams are stepped together as PCG64 state arrays; only the data
-streams of the proportion studies are numpy Generators.
+whole run is reproducible byte for byte from the master seed. Every
+stream is a PCG64 state array row: a cell's noise streams are stepped
+together, and a proportion study's multinomial data streams, those of all
+its cells, are drawn in one pass before its first release.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mechanisms import MECHANISMS, RandomStream, _count, _distinct, _generators, _is_index, _PCG64Rows, _positive
+from .mechanisms import MECHANISMS, RandomStream, _count, _distinct, _is_index, _PCG64Rows, _positive
 from .pipelines import CovMatrix2, _covariance_cell, _synthesis_cell, _wald
 from .sensitivity import AttributeBounds
 
@@ -267,22 +268,25 @@ def _run_prop(config: SimConfig) -> list[_Cell]:
     m = 1 if config.study == "prop" else config.m
     arms = ("original", *config.mechanisms)
     truth = np.array(PROP_TRUTH)
+    grid = [(ie, eps, n) for ie, eps in enumerate(config.eps) for n in config.ns]
+    # stream (domain, ie, n, rep, 0) draws the data as numpy's multinomial
+    # would, (..., rep, 1 + im) mechanism im's noise; the data streams of
+    # every cell are drawn together, and only theirs are held for the study
+    data = _PCG64Rows(np.concatenate([root.child(domain, ie, n)._words(config.reps, 1) for ie, _, n in grid]))
+    counts = data.multinomial(data.rows, np.repeat([n for *_, n in grid], config.reps), PROP_TRUTH)
     cells = []
-    for ie, eps in enumerate(config.eps):
-        for n in config.ns:
-            # stream (domain, ie, n, rep, 0) draws the data through a Generator
-            # (numpy's multinomial), (..., rep, 1 + im) mechanism im's noise
-            words = root.child(domain, ie, n)._words(config.reps, len(arms))
-            phat = np.array([g.multinomial(n, PROP_TRUTH) for g in _generators(words[::len(arms)])]) / n
-            columns = [(phat, *_wald(phat, n))] + [
-                _synthesis_cell(phat, n, eps, m, mech, _PCG64Rows(words[1 + im::len(arms)]))
-                for im, mech in enumerate(config.mechanisms)]
-            sanitized, lo, hi = (np.stack(c, axis=1) for c in zip(*columns))
-            # whether each interval covers its truth; NaN for a degenerate release
-            cp = np.where(np.isnan(sanitized[..., :1]), math.nan, (lo <= truth) & (truth <= hi))
-            heads = tuple((config.study, 1, n, eps, arm) for arm in arms)
-            cells.append(_Cell(heads, ("p1", "p2", "p3", "p4"), tuple(enumerate(PROP_TRUTH, 1)),
-                               phat[:, None], sanitized, cp))
+    for (ie, eps, n), cell_counts in zip(grid, counts.reshape(len(grid), config.reps, -1)):
+        phat = cell_counts / n
+        words = root.child(domain, ie, n)._words(config.reps, len(arms))
+        columns = [(phat, *_wald(phat, n))] + [
+            _synthesis_cell(phat, n, eps, m, mech, _PCG64Rows(words[1 + im::len(arms)]))
+            for im, mech in enumerate(config.mechanisms)]
+        sanitized, lo, hi = (np.stack(c, axis=1) for c in zip(*columns))
+        # whether each interval covers its truth; NaN for a degenerate release
+        cp = np.where(np.isnan(sanitized[..., :1]), math.nan, (lo <= truth) & (truth <= hi))
+        heads = tuple((config.study, 1, n, eps, arm) for arm in arms)
+        cells.append(_Cell(heads, ("p1", "p2", "p3", "p4"), tuple(enumerate(PROP_TRUTH, 1)),
+                           phat[:, None], sanitized, cp))
     return cells
 
 
