@@ -111,6 +111,25 @@ def test_import_leaves_numpy_random_unloaded(tmp_path):
     assert {p.name for p in tmp_path.iterdir()} == {f"{s}_{k}.csv" for s in ("prop", "cov") for k in ("replicates", "summary")}
 
 
+def test_studies_leave_numpy_random_unloaded(tmp_path):
+    # every study stream is a PCG64 state array, the proportion studies'
+    # multinomial data included (inversion at n = 10, BTPE at n = 400), so
+    # no `dpsan sim` run loads numpy.random; a public sampler call would
+    out = tmp_path / "out"
+    code = (
+        "import contextlib, sys, dpsan.cli\n"
+        "with contextlib.redirect_stdout(None):\n"
+        "    for argv in (['prop'], ['prop-ms', '--m', '3'], ['cov', '--spec', '1']):\n"
+        f"        dpsan.cli.main(['sim', *argv, '--n', '10,400', '--eps', '1', '--reps', '5', '--out', {str(out)!r}])\n"
+        "print('numpy.random' in sys.modules)"
+    )
+    src = Path(dpsan.__file__).resolve().parent.parent
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.stdout.split() == ["False"]
+    assert len(list(out.iterdir())) == 6
+
+
 def test_readme_names_only_defined_private_names():
     # every backticked private name in README.md (`_tails`, `pipelines._wald`,
     # `RandomStream._words(*shape)`) is defined somewhere in the project

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import math
+from collections import Counter
 from pathlib import Path
 
 import mpmath
@@ -110,6 +111,84 @@ class TestRandomStream:
 def grid_generators(stream, *shape):
     """Generators of the child streams over a grid, from their state words."""
     return _generators(stream._words(*shape))
+
+
+def btpe_reference(n, p, draw):
+    """numpy's random_binomial_btpe at p <= 1/2, transliterated statement by
+    statement from its C, on the doubles ``draw()`` returns: the count, and
+    how many rounds reached each step (50 the product F, 52 the squeeze,
+    "52 bound" Stirling's bound between the squeeze's limits)."""
+    steps = Counter()
+    q = 1.0 - p
+    fm = n * p + p
+    m = math.floor(fm)
+    p1 = math.floor(2.195 * math.sqrt(n * p * q) - 4.6 * q) + 0.5
+    xm = m + 0.5
+    xl, xr = xm - p1, xm + p1
+    c = 0.134 + 20.5 / (15.3 + m)
+    a = (fm - xl) / (fm - xl * p)
+    laml = a * (1.0 + a / 2.0)
+    a = (xr - fm) / (xr * q)
+    lamr = a * (1.0 + a / 2.0)
+    p2 = p1 * (1.0 + 2.0 * c)
+    p3 = p2 + c / laml
+    p4 = p3 + c / lamr
+    nrq = n * p * q
+    while True:
+        steps[10] += 1
+        u = draw() * p4
+        v = draw()
+        if u <= p1:
+            return math.floor(xm - p1 * v + u), steps
+        if u <= p2:
+            steps[20] += 1
+            x = xl + (u - p1) / c
+            v = v * c + 1.0 - abs(m - x + 0.5) / p1
+            if v > 1.0:
+                continue
+            y = math.floor(x)
+        elif u <= p3:
+            steps[30] += 1
+            if v == 0.0 or (y := math.floor(xl + math.log(v) / laml)) < 0:
+                continue
+            v = v * (u - p2) * laml
+        else:
+            steps[40] += 1
+            if v == 0.0 or (y := math.floor(xr - math.log(v) / lamr)) > n:
+                continue
+            v = v * (u - p3) * lamr
+        k = abs(y - m)
+        if not (k > 20 and k < nrq / 2.0 - 1):
+            steps[50] += 1
+            s = p / q
+            a = s * (n + 1)
+            F = 1.0
+            for i in range(m + 1, y + 1):
+                F *= a / i - s
+            for i in range(y + 1, m + 1):
+                F /= a / i - s
+            if v > F:
+                continue
+            return y, steps
+        steps[52] += 1
+        rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.1666666666666) / nrq + 0.5)
+        t = -k * k / (2 * nrq)
+        A = math.log(v) if v > 0.0 else -math.inf
+        if A < t - rho:
+            return y, steps
+        if A > t + rho:
+            continue
+        steps["52 bound"] += 1
+        x1, f1, z, w = y + 1, m + 1, n + 1 - m, n - y + 1
+        x2, f2, z2, w2 = x1 * x1, f1 * f1, z * z, w * w
+        bound = (xm * math.log(f1 / x1) + (n - m + 0.5) * math.log(z / w) + (y - m) * math.log(w * p / (x1 * q))
+                 + (13680. - (462. - (132. - (99. - 140. / f2) / f2) / f2) / f2) / f1 / 166320.
+                 + (13680. - (462. - (132. - (99. - 140. / z2) / z2) / z2) / z2) / z / 166320.
+                 + (13680. - (462. - (132. - (99. - 140. / x2) / x2) / x2) / x2) / x1 / 166320.
+                 + (13680. - (462. - (132. - (99. - 140. / w2) / w2) / w2) / w2) / w / 166320.)
+        if A > bound:
+            continue
+        return y, steps
 
 
 def seed_sequence_rng(seed, spawn_key):
@@ -458,6 +537,49 @@ class TestPCG64Rows:
             assert a.shape == b.shape == (rows.size, k)
             assert a.tobytes() == b.tobytes()
             assert self.states(src) == [g.bit_generator.state["state"] for g in twins.generators]
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), streams=st.integers(1, 6),
+           mask=st.lists(st.booleans(), min_size=6, max_size=6),
+           ns=st.lists(st.integers(0, 6).flatmap(lambda e: st.integers(0, 10**e)), min_size=6, max_size=6),
+           scalar=st.booleans(), weights=st.lists(st.integers(0, 9), min_size=1, max_size=5).filter(any),
+           heavy=st.booleans())
+    # the acceptance studies' data: seed 2, study prop, eps 0.1, its six n
+    @example(seed=2, streams=6, mask=[True] * 6, ns=[50, 100, 200, 300, 400, 500], scalar=False,
+             weights=[1, 2, 3, 4], heavy=False)
+    def test_multinomial_matches_generators(self, seed, streams, mask, ns, scalar, weights, heavy):
+        # counts and end states of Generator.multinomial, row for row: n from
+        # 0 (no draw) through inversion (n p <= 30) to BTPE, zero categories,
+        # and a first category above 1/2, drawn as the other outcome
+        if heavy:
+            weights[0] = 2 * sum(weights[1:]) + 1
+        pvals = [w / sum(weights) for w in weights]
+        stream = d.RandomStream(seed, (2, 0))
+        src, gens = _PCG64Rows(stream._words(streams, 1)), grid_generators(stream, streams, 1)
+        rows = np.flatnonzero(mask[:streams])
+        ns = [ns[0]] * 6 if scalar else ns
+        got = src.multinomial(rows, ns[0] if scalar else np.array(ns)[rows], pvals)
+        assert got.shape == (rows.size, len(pvals)) and got.dtype == np.int64
+        assert got.tolist() == [gens[i].multinomial(ns[i], pvals).tolist() for i in rows.tolist()]
+        assert self.states(src) == [g.bit_generator.state["state"] for g in gens]
+
+    def test_multinomial_reaches_every_btpe_step(self):
+        # binomial(10^4, 0.3), the first category of (0.3, 0.7): n p (1 - p)
+        # = 2,100 puts the squeeze's band, 20 < |y - m| < 1,049, inside the
+        # tails, so 400 rows take every step; btpe_reference counts them on
+        # each row's Generator and gives the kernel's counts and end states
+        n, p, rows = 10**4, 0.3, 400
+        stream = d.RandomStream(29, (1,))
+        src, gens = _PCG64Rows(stream._words(rows)), grid_generators(stream, rows)
+        counts = src.multinomial(src.rows, n, (p, 1.0 - p))
+        steps = Counter()
+        for g, got in zip(gens, counts[:, 0].tolist(), strict=True):
+            y, taken = btpe_reference(n, p, g.random)
+            assert y == got
+            steps += taken
+        assert self.states(src) == [g.bit_generator.state["state"] for g in gens]
+        assert (counts[:, 1] == n - counts[:, 0]).all()
+        assert all(steps[step] for step in (10, 20, 30, 40, 50, 52, "52 bound")), steps
 
     @pytest.mark.parametrize("post,u,laplace_steps,laplace", [
         # equal high and low words: XSL-RR output 0, so random() is 0.0,

@@ -10,7 +10,7 @@ from scipy import stats
 
 import dpsan as d
 from dpsan.mechanisms import _PCG64Rows
-from dpsan.pipelines import _check_proportions, _covariance_cell, _synthesis_cell, _wald
+from dpsan.pipelines import _check_proportions, _covariance_cell, _row_fsums, _synthesis_cell, _wald
 from dpsan.simlab import PROP_TRUTH
 
 B3 = d.AttributeBounds(-3.0, 3.0)
@@ -96,6 +96,41 @@ class TestProportionVector:
                 assert refused and "sum to 1" in str(exc)
             else:
                 assert not refused
+
+
+def midpoint_row(x, nudge):
+    """x, half an ulp of x, a nudge of ``nudge`` quarter ulps of that half, and
+    a zero: x + half is a tie, and the nudge decides which way the exact sum
+    rounds."""
+    half = math.ulp(x) / 2
+    return [x, half, nudge * math.ulp(half) / 4, 0.0]
+
+
+class TestRowFsums:
+    """The renormalizing divisor: math.fsum of each row, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(rows=st.lists(st.one_of(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+                                   st.builds(midpoint_row, st.floats(2.0**-30, 1.0),
+                                             st.integers(0, 6)).flatmap(st.permutations)),
+                         min_size=1, max_size=30))
+    def test_equals_per_row_fsum(self, rows):
+        got = _row_fsums(np.array(rows))
+        assert list(map(float.hex, got.tolist())) == [float.hex(math.fsum(r)) for r in rows]
+
+    def test_rows_whose_error_sum_rounds_fall_back_to_fsum(self, monkeypatch):
+        # 1 + 2^-53 is a tie, and rounds to 1; 2^-106 more rounds it up, but
+        # summing the errors 2^-53 and 2^-106 rounds, so that row goes to
+        # fsum. In the last row the errors 2^-106 and 2^-54 sum exactly, and
+        # s + t rounds 0.5 + 2^-54 + 2^-106 up without fsum
+        rows = [[1.0, 2.0**-53, 0.0, 0.0], [1.0, 2.0**-53, 2.0**-106, 0.0], [0.1, 0.2, 0.3, 0.4],
+                [2.0**-106, 0.5, 2.0**-54, 0.0]]
+        fsum, calls = math.fsum, []
+        monkeypatch.setattr(math, "fsum", lambda r: calls.append(r) or fsum(r))
+        got = _row_fsums(np.array(rows))
+        assert got.tolist() == [1.0, 1.0 + 2.0**-52, fsum(rows[2]), 0.5 + 2.0**-53]
+        assert calls == [rows[1]]
+        assert np.array(rows).sum(axis=1)[1] == 1.0  # the plain float sum misses it
 
 
 class TestSanitizeCovariance:
